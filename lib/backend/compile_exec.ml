@@ -2,9 +2,10 @@
 
     Where {!Interp} walks the AST on every execution, this backend
     *compiles* a function once into a tree of OCaml closures — names are
-    resolved lexically to mutable cells at compile time, expressions to
-    [unit -> float]/[unit -> int] thunks with dtypes settled statically —
-    and then runs the closures.  It plays the role nvcc/gcc play in the
+    resolved lexically to mutable cells at compile time, dtypes are
+    settled statically, and float expressions fuse into one closure per
+    operator node specialized on its operands' kinds (see "Fused
+    operands" below) — and then runs the closures.  It plays the role nvcc/gcc play in the
     paper's pipeline for this repository's in-process execution, and the
     test suite cross-checks it against the reference interpreter on
     every workload.
@@ -45,7 +46,16 @@
     Profiling is decided at *compile* time: with [?profile] the emitted
     thunks carry counter increments matching {!Interp}'s observed counts
     exactly (parallel workers count into private shards that merge at
-    region exit); without it the hot path pays nothing. *)
+    region exit); without it the hot path pays nothing.  The profiled and
+    guarded paths keep plain [unit -> float] expression thunks; only the
+    plain path is fused, and in steady state it allocates nothing per
+    element.
+
+    A compiled artifact holds per-run mutable state — parameter cells,
+    fused slots, recycled [Var_def] buffers — so one artifact must never
+    run two calls at once.  The serving layer guarantees it by keeping
+    same-key requests sequential; parallel loops compile one private
+    body instance per worker. *)
 
 open Ft_ir
 open Ft_runtime
@@ -63,8 +73,28 @@ let err fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
    loop compiled sequentially, with the reason.  Tests redirect it. *)
 let race_logger : (string -> unit) ref = ref prerr_endline
 
-(* a tensor binding; filled at run time (params) or on scope entry *)
-type cell = { mutable t : Tensor.t option }
+(* a tensor binding; filled at run time (params) or on scope entry.  The
+   raw buffers are cached on binding so fused closures index them
+   directly ([[||]] for the buffer kind the tensor does not have). *)
+type cell = {
+  mutable t : Tensor.t option;
+  mutable fa : float array;
+  mutable ia : int array;
+}
+
+let new_cell () = { t = None; fa = [||]; ia = [||] }
+
+(* [bound] is [Some t], passed in so recycled buffers rebind without
+   allocating a fresh option *)
+let bind c bound =
+  c.t <- bound;
+  match bound with
+  | Some t ->
+    c.fa <- Tensor.float_buf t;
+    c.ia <- Tensor.int_buf t
+  | None ->
+    c.fa <- [||];
+    c.ia <- [||]
 
 let cell_tensor name c =
   match c.t with
@@ -88,29 +118,41 @@ let make_rlog () =
   { lg_site = Array.make 64 0; lg_off = Array.make 64 0;
     lg_val = Array.make 64 0.0; lg_len = 0 }
 
-let log_push lg site off v =
+let log_grow lg =
   let n = lg.lg_len in
-  if n = Array.length lg.lg_site then begin
-    let grow a z =
-      let b = Array.make (2 * n) z in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    lg.lg_site <- grow lg.lg_site 0;
-    lg.lg_off <- grow lg.lg_off 0;
-    lg.lg_val <- grow lg.lg_val 0.0
-  end;
+  let grow a z =
+    let b = Array.make (2 * n) z in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  lg.lg_site <- grow lg.lg_site 0;
+  lg.lg_off <- grow lg.lg_off 0;
+  lg.lg_val <- grow lg.lg_val 0.0
+
+(* inlined so the logged value is never boxed *)
+let[@inline] log_push lg site off v =
+  let n = lg.lg_len in
+  if n = Array.length lg.lg_site then log_grow lg;
   lg.lg_site.(n) <- site;
   lg.lg_off.(n) <- off;
   lg.lg_val.(n) <- v;
   lg.lg_len <- n + 1
+
+(* the reduce combine, matched inline (a [float -> float -> float]
+   closure would box its operands and result) *)
+let[@inline] combine op acc v =
+  match op with
+  | Types.R_add -> acc +. v
+  | Types.R_mul -> acc *. v
+  | Types.R_min -> Float.min acc v
+  | Types.R_max -> Float.max acc v
 
 (* one deferred-reduction site (shared across body instances: the target
    cell is defined outside the region, so it is the same for all) *)
 type rsite = {
   rs_name : string;
   rs_cell : cell;
-  rs_combine : float -> float -> float;
+  rs_op : Types.reduce_op;
 }
 
 (* compile-time state of the parallel region instance being compiled *)
@@ -150,7 +192,9 @@ type guard_stats = {
   mutable gs_sites : int;   (* access sites compiled *)
   mutable gs_checked : int; (* sites carrying a runtime bounds check *)
   mutable gs_elided : int;  (* statically proved sites, check elided *)
-  mutable gs_checks : int;  (* runtime bounds checks executed *)
+  mutable gs_checks : int;
+      (* runtime bounds checks executed; written by the master only —
+         parallel workers count privately and the join adds their sums *)
 }
 
 (* [gs_checks] accumulates across every run of one compiled artifact,
@@ -177,6 +221,9 @@ type gstate = {
   mutable gc_iters : (string * int ref) list; (* innermost first *)
   mutable gc_stmt : Stmt.t option;
   gc_stats : guard_stats;
+  mutable gc_counter : int ref option;
+      (* the private check counter of the parallel body instance being
+         compiled; [None] at master level (count into [gc_stats]) *)
 }
 
 (* Decode a flat offset back to a multi-index for diagnostics on the
@@ -285,6 +332,7 @@ type cenv = {
   mutable region : region option;
   mutable loops : open_loop list; (* open loops, innermost first *)
   guard : gstate option;
+  fused : bool; (* neither guarded nor profiled: the fused-operand path *)
   sup : bool; (* emit supervisor hooks (kernel boundaries, poll points) *)
   mutable sup_host : bool;
       (* compiling at host (kernel-boundary) level: the next non-Seq,
@@ -306,7 +354,7 @@ let find_cell env name =
     match Hashtbl.find_opt env.orphans name with
     | Some c -> c
     | None ->
-      let c = { t = None } in
+      let c = new_cell () in
       Hashtbl.replace env.orphans name c;
       c)
 
@@ -410,10 +458,13 @@ let emit_affine (terms : (int ref * int) list) cst : unit -> int =
     else fun () -> (a * !r) + cst
   | [ (r1, a1); (r2, a2) ] -> fun () -> (a1 * !r1) + (a2 * !r2) + cst
   | _ ->
-    let arr = Array.of_list terms in
+    let rs = Array.of_list (List.map fst terms) in
+    let cs = Array.of_list (List.map snd terms) in
     fun () ->
       let off = ref cst in
-      Array.iter (fun (r, a) -> off := !off + (a * !r)) arr;
+      for k = 0 to Array.length rs - 1 do
+        off := !off + (cs.(k) * !(rs.(k)))
+      done;
       !off
 
 (* flat offset of an index list against a cell's current tensor; the
@@ -503,7 +554,199 @@ type par_instance = {
   pi_body : unit -> unit;
   pi_shard : Profile.shard option;
   pi_log : rlog;
+  pi_checks : int ref; (* guard checks this instance ran since the join *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Fused operands (unguarded, unprofiled code)
+
+   Without flambda every [unit -> float] closure boxes its result, and a
+   closure per tree node pays a call per leaf.  The plain executor
+   therefore classifies each float operand at compile time into one of
+   five kinds, and every Binop/Unop/Store/Reduce_to node emits ONE
+   closure specialized on the kinds of its operands, with the operator
+   matched inline: leaves (constants, iterators, loads) are read in the
+   parent's own body and never called.  Interior nodes write their value
+   into an all-float [slot] record (a [float ref] would box) that the
+   parent reads after calling them.  Operand kinds are always matched
+   outside the emitted closure: a float-valued match nested inside
+   another match boxes. *)
+
+type slot = { mutable v : float }
+
+type fop =
+  | F_const of float
+  | F_iter of int ref                 (* [float_of_int !r] *)
+  | F_cell of cell * int ref          (* load at a running-offset cell *)
+  | F_load of cell * (unit -> int)    (* load at a computed offset *)
+  | F_node of slot * (unit -> unit)   (* computed: call, then read slot *)
+
+(* a flat offset: a cell a loop (or nobody, for constants) keeps current,
+   or a thunk *)
+type ofs =
+  | O_run of int ref
+  | O_fn of (unit -> int)
+
+type fbinop = B_add | B_sub | B_mul | B_div | B_min | B_max | B_pow
+
+type funop =
+  | U_neg | U_abs | U_sqrt | U_exp | U_ln | U_sigmoid | U_tanh | U_floor
+  | U_ceil | U_square
+
+let[@inline] fbin op x y =
+  match op with
+  | B_add -> x +. y
+  | B_sub -> x -. y
+  | B_mul -> x *. y
+  | B_div -> x /. y
+  | B_min -> Float.min x y
+  | B_max -> Float.max x y
+  | B_pow -> Float.pow x y
+
+let[@inline] fun1 op x =
+  match op with
+  | U_neg -> -.x
+  | U_abs -> Float.abs x
+  | U_sqrt -> sqrt x
+  | U_exp -> exp x
+  | U_ln -> log x
+  | U_sigmoid -> 1.0 /. (1.0 +. exp (-.x))
+  | U_tanh -> tanh x
+  | U_floor -> floor x
+  | U_ceil -> ceil x
+  | U_square -> x *. x
+
+let[@inline] fcmp op (x : float) y =
+  match op with
+  | Expr.Eq -> x = y
+  | Expr.Ne -> x <> y
+  | Expr.Lt -> x < y
+  | Expr.Le -> x <= y
+  | Expr.Gt -> x > y
+  | _ -> x >= y (* Ge; other operators are rejected at compile time *)
+
+let[@inline] icmp op (x : int) y =
+  match op with
+  | Expr.Eq -> x = y
+  | Expr.Ne -> x <> y
+  | Expr.Lt -> x < y
+  | Expr.Le -> x <= y
+  | Expr.Gt -> x > y
+  | _ -> x >= y
+
+(* unchecked float-buffer access; the annotation makes the primitive the
+   unboxed float-array one *)
+let ( .%() ) (a : float array) k = Array.unsafe_get a k
+let ( .%()<- ) (a : float array) k v = Array.unsafe_set a k v
+
+(* Materialize any operand as a slot-writing node (for the rare parents
+   that are not specialized per kind: selects, comparisons, casts). *)
+let as_node = function
+  | F_node (s, f) -> (s, f)
+  | k ->
+    let s = { v = 0.0 } in
+    let f =
+      match k with
+      | F_const x -> s.v <- x; fun () -> ()
+      | F_iter r -> fun () -> s.v <- float_of_int !r
+      | F_cell (c, r) -> fun () -> s.v <- c.fa.%(!r)
+      | F_load (c, o) -> fun () -> s.v <- c.fa.%(o ())
+      | F_node (_, f) -> f
+    in
+    (s, f)
+
+let fuse_unop op a =
+  let d = { v = 0.0 } in
+  let node f = F_node (d, f) in
+  match a with
+  | F_const x -> F_const (fun1 op x)
+  | F_iter r -> node (fun () -> d.v <- fun1 op (float_of_int !r))
+  | F_cell (c, r) -> node (fun () -> d.v <- fun1 op c.fa.%(!r))
+  | F_load (c, o) -> node (fun () -> d.v <- fun1 op c.fa.%(o ()))
+  | F_node (s, f) -> node (fun () -> f (); d.v <- fun1 op s.v)
+
+let fuse_binop op a b =
+  let d = { v = 0.0 } in
+  let node f = F_node (d, f) in
+  match a, b with
+  | F_const x, F_const y -> F_const (fbin op x y)
+  | F_const x, F_iter q -> node (fun () -> d.v <- fbin op x (float_of_int !q))
+  | F_const x, F_cell (cb, q) -> node (fun () -> d.v <- fbin op x cb.fa.%(!q))
+  | F_const x, F_load (cb, ob) ->
+    node (fun () -> d.v <- fbin op x cb.fa.%(ob ()))
+  | F_const x, F_node (sb, fb) -> node (fun () -> fb (); d.v <- fbin op x sb.v)
+  | F_iter p, F_const y -> node (fun () -> d.v <- fbin op (float_of_int !p) y)
+  | F_iter p, F_iter q ->
+    node (fun () -> d.v <- fbin op (float_of_int !p) (float_of_int !q))
+  | F_iter p, F_cell (cb, q) ->
+    node (fun () -> d.v <- fbin op (float_of_int !p) cb.fa.%(!q))
+  | F_iter p, F_load (cb, ob) ->
+    node (fun () -> d.v <- fbin op (float_of_int !p) cb.fa.%(ob ()))
+  | F_iter p, F_node (sb, fb) ->
+    node (fun () -> fb (); d.v <- fbin op (float_of_int !p) sb.v)
+  | F_cell (ca, p), F_const y -> node (fun () -> d.v <- fbin op ca.fa.%(!p) y)
+  | F_cell (ca, p), F_iter q ->
+    node (fun () -> d.v <- fbin op ca.fa.%(!p) (float_of_int !q))
+  | F_cell (ca, p), F_cell (cb, q) ->
+    node (fun () -> d.v <- fbin op ca.fa.%(!p) cb.fa.%(!q))
+  | F_cell (ca, p), F_load (cb, ob) ->
+    node (fun () -> d.v <- fbin op ca.fa.%(!p) cb.fa.%(ob ()))
+  | F_cell (ca, p), F_node (sb, fb) ->
+    node (fun () -> fb (); d.v <- fbin op ca.fa.%(!p) sb.v)
+  | F_load (ca, oa), F_const y ->
+    node (fun () -> d.v <- fbin op ca.fa.%(oa ()) y)
+  | F_load (ca, oa), F_iter q ->
+    node (fun () -> d.v <- fbin op ca.fa.%(oa ()) (float_of_int !q))
+  | F_load (ca, oa), F_cell (cb, q) ->
+    node (fun () -> d.v <- fbin op ca.fa.%(oa ()) cb.fa.%(!q))
+  | F_load (ca, oa), F_load (cb, ob) ->
+    node (fun () -> let x = ca.fa.%(oa ()) in d.v <- fbin op x cb.fa.%(ob ()))
+  | F_load (ca, oa), F_node (sb, fb) ->
+    node (fun () -> fb (); d.v <- fbin op ca.fa.%(oa ()) sb.v)
+  | F_node (sa, fa), F_const y -> node (fun () -> fa (); d.v <- fbin op sa.v y)
+  | F_node (sa, fa), F_iter q ->
+    node (fun () -> fa (); d.v <- fbin op sa.v (float_of_int !q))
+  | F_node (sa, fa), F_cell (cb, q) ->
+    node (fun () -> fa (); d.v <- fbin op sa.v cb.fa.%(!q))
+  | F_node (sa, fa), F_load (cb, ob) ->
+    node (fun () -> fa (); d.v <- fbin op sa.v cb.fa.%(ob ()))
+  | F_node (sa, fa), F_node (sb, fb) ->
+    node (fun () -> fa (); fb (); d.v <- fbin op sa.v sb.v)
+
+(* Store of a float operand: one closure per (offset kind, value kind). *)
+let fuse_store (c : cell) o v : unit -> unit =
+  match o, v with
+  | O_run r, F_const x -> fun () -> c.fa.%(!r) <- x
+  | O_run r, F_iter q -> fun () -> c.fa.%(!r) <- float_of_int !q
+  | O_run r, F_cell (a, q) -> fun () -> c.fa.%(!r) <- a.fa.%(!q)
+  | O_run r, F_load (a, oa) -> fun () -> c.fa.%(!r) <- a.fa.%(oa ())
+  | O_run r, F_node (s, f) -> fun () -> f (); c.fa.%(!r) <- s.v
+  | O_fn o, F_const x -> fun () -> c.fa.%(o ()) <- x
+  | O_fn o, F_iter q -> fun () -> c.fa.%(o ()) <- float_of_int !q
+  | O_fn o, F_cell (a, q) -> fun () -> let x = a.fa.%(!q) in c.fa.%(o ()) <- x
+  | O_fn o, F_load (a, oa) ->
+    fun () -> let x = a.fa.%(oa ()) in c.fa.%(o ()) <- x
+  | O_fn o, F_node (s, f) -> fun () -> f (); c.fa.%(o ()) <- s.v
+
+(* In-place reduce of a float operand into a float-buffered target; the
+   value is read before the target, as in the instrumented paths. *)
+let fuse_reduce op (c : cell) o v : unit -> unit =
+  let[@inline] upd k x = c.fa.%(k) <- combine op c.fa.%(k) x in
+  match o, v with
+  | O_run r, F_const x -> fun () -> upd !r x
+  | O_run r, F_iter q -> fun () -> upd !r (float_of_int !q)
+  | O_run r, F_cell (a, q) -> fun () -> upd !r a.fa.%(!q)
+  | O_run r, F_load (a, oa) -> fun () -> upd !r a.fa.%(oa ())
+  | O_run r, F_node (s, f) -> fun () -> f (); upd !r s.v
+  | O_fn o, F_const x -> fun () -> upd (o ()) x
+  | O_fn o, F_iter q -> fun () -> upd (o ()) (float_of_int !q)
+  | O_fn o, F_cell (a, q) -> fun () -> let x = a.fa.%(!q) in upd (o ()) x
+  | O_fn o, F_load (a, oa) -> fun () -> let x = a.fa.%(oa ()) in upd (o ()) x
+  | O_fn o, F_node (s, f) -> fun () -> f (); upd (o ()) s.v
+
+let ofs_thunk = function
+  | O_run r -> fun () -> !r
+  | O_fn f -> f
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation, dtype-directed *)
@@ -533,16 +776,15 @@ and compile_f_node (env : cenv) (e : Expr.t) : unit -> float =
     | Some g ->
       let off = compile_guarded_load_off env g l_var c l_indices in
       fun () -> Tensor.unsafe_get_f (cell_tensor l_var c) (off ())
-    | None -> (
+    | None ->
+      (* profiled (the plain path compiles through [compile_fk]) *)
       let off = compile_offset env l_var c l_indices in
-      match prof_site env l_var with
-      | None -> fun () -> Tensor.unsafe_get_f (cell_tensor l_var c) (off ())
-      | Some (_, rd, _) ->
-        fun () ->
-          let t = cell_tensor l_var c in
-          let o = off () in
-          rd (Tensor.byte_size t);
-          Tensor.unsafe_get_f t o))
+      let rd = prof_site env l_var in
+      fun () ->
+        let t = cell_tensor l_var c in
+        let o = off () in
+        (match rd with Some (_, rd, _) -> rd (Tensor.byte_size t) | None -> ());
+        Tensor.unsafe_get_f t o)
   | Expr.Unop (op, a) -> (
     let fa = compile_f env a in
     match op with
@@ -578,8 +820,111 @@ and compile_f_node (env : cenv) (e : Expr.t) : unit -> float =
   | Expr.Meta_ndim p | Expr.Meta_shape (p, _) ->
     err "meta expression on %s not partially evaluated" p
 
+(* Fused float operand (plain path only; see {!fop}). *)
+and compile_fk (env : cenv) (e : Expr.t) : fop =
+  match e with
+  | Expr.Float_const f -> F_const f
+  | Expr.Int_const n -> F_const (float_of_int n)
+  | Expr.Var x -> F_iter (find_int env x)
+  | Expr.Load { l_var; l_indices } ->
+    let c = find_cell env l_var in
+    if not (Hashtbl.mem env.cells l_var) then orphan_node l_var c
+    else if Types.is_float (dtype_of env l_var) then (
+      match fst (compile_offset_k env l_var c l_indices) with
+      | O_run r -> F_cell (c, r)
+      | O_fn f -> F_load (c, f))
+    else
+      let o = ofs_thunk (fst (compile_offset_k env l_var c l_indices)) in
+      let d = { v = 0.0 } in
+      F_node (d, fun () -> d.v <- float_of_int (Array.unsafe_get c.ia (o ())))
+  | Expr.Binop ((Expr.Floor_div | Expr.Mod), _, _) ->
+    (* integer op in a float context *)
+    let fi = compile_i env e in
+    let d = { v = 0.0 } in
+    F_node (d, fun () -> d.v <- float_of_int (fi ()))
+  | Expr.Unop (op, a) ->
+    let op =
+      match op with
+      | Expr.Neg -> U_neg
+      | Expr.Abs -> U_abs
+      | Expr.Sqrt -> U_sqrt
+      | Expr.Exp -> U_exp
+      | Expr.Ln -> U_ln
+      | Expr.Sigmoid -> U_sigmoid
+      | Expr.Tanh -> U_tanh
+      | Expr.Floor_op -> U_floor
+      | Expr.Ceil_op -> U_ceil
+      | Expr.Square -> U_square
+      | Expr.Not -> err "boolean used as a number"
+    in
+    fuse_unop op (compile_fk env a)
+  | Expr.Binop (op, a, b) ->
+    let op =
+      match op with
+      | Expr.Add -> B_add
+      | Expr.Sub -> B_sub
+      | Expr.Mul -> B_mul
+      | Expr.Div -> B_div
+      | Expr.Min -> B_min
+      | Expr.Max -> B_max
+      | Expr.Pow -> B_pow
+      | _ -> err "boolean expression used as a number"
+    in
+    let ka = compile_fk env a in
+    fuse_binop op ka (compile_fk env b)
+  | Expr.Select (c, a, b) ->
+    let fc = compile_b env c in
+    let sa, fa = as_node (compile_fk env a) in
+    let sb, fb = as_node (compile_fk env b) in
+    let d = { v = 0.0 } in
+    F_node
+      ( d,
+        fun () ->
+          if fc () then begin
+            fa ();
+            d.v <- sa.v
+          end
+          else begin
+            fb ();
+            d.v <- sb.v
+          end )
+  | Expr.Cast (_, a) -> compile_fk env a
+  | Expr.Bool_const _ -> err "boolean used as a number"
+  | Expr.Meta_ndim p | Expr.Meta_shape (p, _) ->
+    err "meta expression on %s not partially evaluated" p
+
+(* An access to a name no enclosing scope binds: compiled, but raises
+   {!Exec_error} if it ever executes (see {!find_cell}). *)
+and orphan_node name c =
+  F_node ({ v = 0.0 }, fun () -> ignore (cell_tensor name c))
+
 and compile_i (env : cenv) (e : Expr.t) : unit -> int =
-  wrap_bump env e (compile_i_node env e)
+  if env.fused then compile_i_fused env e
+  else wrap_bump env e (compile_i_node env e)
+
+(* Plain-path integers: [unit -> int] closures do not box, so only loads
+   (cached buffers) and float casts (through a slot) differ from the
+   instrumented path. *)
+and compile_i_fused (env : cenv) (e : Expr.t) : unit -> int =
+  match e with
+  | Expr.Load { l_var; l_indices } -> (
+    let c = find_cell env l_var in
+    if not (Hashtbl.mem env.cells l_var) then fun () ->
+      ignore (cell_tensor l_var c);
+      0
+    else
+      let o = fst (compile_offset_k env l_var c l_indices) in
+      match Types.is_float (dtype_of env l_var), o with
+      | true, O_run r -> fun () -> int_of_float c.fa.%(!r)
+      | true, O_fn f -> fun () -> int_of_float c.fa.%(f ())
+      | false, O_run r -> fun () -> Array.unsafe_get c.ia !r
+      | false, O_fn f -> fun () -> Array.unsafe_get c.ia (f ()))
+  | Expr.Cast (_, a) ->
+    let s, f = as_node (compile_fk env a) in
+    fun () ->
+      f ();
+      int_of_float s.v
+  | _ -> compile_i_node env e
 
 and compile_i_node (env : cenv) (e : Expr.t) : unit -> int =
   match e with
@@ -598,19 +943,16 @@ and compile_i_node (env : cenv) (e : Expr.t) : unit -> int =
       if Types.is_float (dtype_of env l_var) then fun () ->
         int_of_float (Tensor.unsafe_get_f (cell_tensor l_var c) (off ()))
       else fun () -> Tensor.unsafe_get_i (cell_tensor l_var c) (off ())
-    | None -> (
+    | None ->
+      (* profiled (the plain path compiles through [compile_i_fused]) *)
       let off = compile_offset env l_var c l_indices in
-      let get =
-        if Types.is_float (dtype_of env l_var) then fun () ->
-          int_of_float (Tensor.unsafe_get_f (cell_tensor l_var c) (off ()))
-        else fun () -> Tensor.unsafe_get_i (cell_tensor l_var c) (off ())
-      in
-      match prof_site env l_var with
-      | None -> get
-      | Some (_, rd, _) ->
-        fun () ->
-          rd (Tensor.byte_size (cell_tensor l_var c));
-          get ()))
+      let rd = prof_site env l_var in
+      let is_f = Types.is_float (dtype_of env l_var) in
+      fun () ->
+        let t = cell_tensor l_var c in
+        (match rd with Some (_, rd, _) -> rd (Tensor.byte_size t) | None -> ());
+        if is_f then int_of_float (Tensor.unsafe_get_f t (off ()))
+        else Tensor.unsafe_get_i t (off ()))
   | Expr.Unop (Expr.Neg, a) ->
     let fa = compile_i env a in
     fun () -> -fa ()
@@ -664,16 +1006,19 @@ and compile_b_node (env : cenv) (e : Expr.t) : unit -> bool =
       in
       go e
     in
+    (match op with
+     | Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge -> ()
+     | _ -> err "not a boolean operator");
     if is_intish a && is_intish b then
       let fa = compile_i env a and fb = compile_i env b in
-      match op with
-      | Expr.Eq -> fun () -> fa () = fb ()
-      | Expr.Ne -> fun () -> fa () <> fb ()
-      | Expr.Lt -> fun () -> fa () < fb ()
-      | Expr.Le -> fun () -> fa () <= fb ()
-      | Expr.Gt -> fun () -> fa () > fb ()
-      | Expr.Ge -> fun () -> fa () >= fb ()
-      | _ -> err "not a boolean operator"
+      fun () -> icmp op (fa ()) (fb ())
+    else if env.fused then
+      let sa, fa = as_node (compile_fk env a) in
+      let sb, fb = as_node (compile_fk env b) in
+      fun () ->
+        fa ();
+        fb ();
+        fcmp op sa.v sb.v
     else
       let fa = compile_f env a and fb = compile_f env b in
       match op with
@@ -699,8 +1044,22 @@ and compile_b_node (env : cenv) (e : Expr.t) : unit -> bool =
    {!Ft_lower.Address}). *)
 and compile_offset (env : cenv) name (c : cell) (idx : Expr.t list) :
     unit -> int =
-  let generic () = offset_thunk name c (List.map (compile_i env) idx) in
-  if idx = [] then fun () -> 0
+  let o, bumps = compile_offset_k env name c idx in
+  let f = ofs_thunk o in
+  (* Replicate the replaced arithmetic's per-access counts. *)
+  match env.pctr with
+  | Some ctr when Array.length bumps > 0 ->
+    fun () ->
+      Array.iter (Profile.bump_class ctr) bumps;
+      f ()
+  | _ -> f
+
+(* The offset itself, with the op classes of the affine index arithmetic
+   it replaces (empty when the indices still compile to counted
+   thunks).  Constant offsets are cells nobody advances. *)
+and compile_offset_k (env : cenv) name (c : cell) (idx : Expr.t list) :
+    ofs * Profile.opclass array =
+  if idx = [] then (O_run (ref 0), [||])
   else
     match Hashtbl.find_opt env.shapes name with
     | Some dims when Array.length dims = List.length idx -> (
@@ -711,16 +1070,7 @@ and compile_offset (env : cenv) name (c : cell) (idx : Expr.t list) :
           List.map (fun (v, a) -> (find_int env v, a)) pl.Address.pl_terms
         in
         let cst = pl.Address.pl_const in
-        (* Replicate the replaced arithmetic's per-access counts. *)
-        let counted f =
-          match env.pctr with
-          | Some ctr when Array.length pl.Address.pl_bumps > 0 ->
-            let bumps = pl.Address.pl_bumps in
-            fun () ->
-              Array.iter (Profile.bump_class ctr) bumps;
-              f ()
-          | _ -> f
-        in
+        let bumps = pl.Address.pl_bumps in
         match
           List.find_opt
             (fun ol -> List.exists (fun (r, _) -> r == ol.ol_ref) terms)
@@ -735,21 +1085,28 @@ and compile_offset (env : cenv) name (c : cell) (idx : Expr.t list) :
             { tk_cell = cellr; tk_base = emit_affine terms cst;
               tk_coeff = coeff }
             :: ol.ol_trackers;
-          counted (fun () -> !cellr)
-        | None -> counted (emit_affine terms cst))
+          (O_run cellr, bumps)
+        | None when terms = [] -> (O_run (ref cst), bumps)
+        | None -> (O_fn (emit_affine terms cst), bumps))
       | None ->
         (* static strides, non-affine indices *)
         let thunks = List.mapi (fun k e -> (compile_i env e, ss.(k))) idx in
-        match thunks with
-        | [ (f0, s0) ] -> if s0 = 1 then f0 else fun () -> f0 () * s0
-        | [ (f0, s0); (f1, s1) ] -> fun () -> (f0 () * s0) + (f1 () * s1)
-        | _ ->
-          let arr = Array.of_list thunks in
-          fun () ->
-            let off = ref 0 in
-            Array.iter (fun (f, s) -> off := !off + (f () * s)) arr;
-            !off)
-    | _ -> generic ()
+        let f =
+          match thunks with
+          | [ (f0, s0) ] -> if s0 = 1 then f0 else fun () -> f0 () * s0
+          | [ (f0, s0); (f1, s1) ] -> fun () -> (f0 () * s0) + (f1 () * s1)
+          | _ ->
+            let fs = Array.of_list (List.map fst thunks) in
+            let ss = Array.of_list (List.map snd thunks) in
+            fun () ->
+              let off = ref 0 in
+              for k = 0 to Array.length fs - 1 do
+                off := !off + (fs.(k) () * ss.(k))
+              done;
+              !off
+        in
+        (O_fn f, [||]))
+    | _ -> (O_fn (offset_thunk name c (List.map (compile_i env) idx)), [||])
 
 (* Guarded access compilation.  Decides at compile time whether this
    site's bounds check is elided — statically proved by {!Boundcheck},
@@ -793,8 +1150,11 @@ and guard_access (env : cenv) (g : gstate) ~(access : Diag.access) name
               ~tensor:name ~dtype:(Tensor.dtype t) ~shape:(Tensor.shape t)
               ~index:idx ~dim ()))
     in
+    let counter = g.gc_counter in
     let check idx =
-      st.gs_checks <- st.gs_checks + 1;
+      (match counter with
+       | None -> st.gs_checks <- st.gs_checks + 1
+       | Some r -> incr r);
       let t = cell_tensor name c in
       let dims = Tensor.dims t in
       if Array.length dims <> n then oob t idx None;
@@ -890,102 +1250,118 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
   | Stmt.Store { s_var; s_indices; s_value }
     when env.guard <> None ->
     compile_guarded_store env (Option.get env.guard) s_var s_indices s_value
-  | Stmt.Store { s_var; s_indices; s_value } -> (
+  | Stmt.Store { s_var; s_indices; s_value } when env.fused ->
     let c = find_cell env s_var in
-    let site = prof_site env s_var in
+    if not (Hashtbl.mem env.cells s_var) then fun () ->
+      ignore (cell_tensor s_var c)
+    else
+      let o = fst (compile_offset_k env s_var c s_indices) in
+      if Types.is_float (dtype_of env s_var) then
+        fuse_store c o (compile_fk env s_value)
+      else
+        let fv = compile_i env s_value in
+        let o = ofs_thunk o in
+        fun () -> Array.unsafe_set c.ia (o ()) (fv ())
+  | Stmt.Store { s_var; s_indices; s_value } ->
+    (* profiled *)
+    let c = find_cell env s_var in
+    let wr = prof_site env s_var in
     let off = compile_offset env s_var c s_indices in
+    let write t =
+      match wr with Some (_, _, wr) -> wr (Tensor.byte_size t) | None -> ()
+    in
     if Types.is_float (dtype_of env s_var) then
       let fv = compile_f env s_value in
-      match site with
-      | None ->
-        fun () -> Tensor.unsafe_set_f (cell_tensor s_var c) (off ()) (fv ())
-      | Some (_, _, wr) ->
-        fun () ->
-          let t = cell_tensor s_var c in
-          let o = off () in
-          let v = fv () in
-          wr (Tensor.byte_size t);
-          Tensor.unsafe_set_f t o v
+      fun () ->
+        let t = cell_tensor s_var c in
+        let o = off () in
+        let v = fv () in
+        write t;
+        Tensor.unsafe_set_f t o v
     else
       let fv = compile_i env s_value in
-      match site with
-      | None ->
-        fun () -> Tensor.set_flat_i (cell_tensor s_var c) (off ()) (fv ())
-      | Some (_, _, wr) ->
-        fun () ->
-          let t = cell_tensor s_var c in
-          let o = off () in
-          let v = fv () in
-          wr (Tensor.byte_size t);
-          Tensor.set_flat_i t o v)
+      fun () ->
+        let t = cell_tensor s_var c in
+        let o = off () in
+        let v = fv () in
+        write t;
+        Tensor.set_flat_i t o v
   | Stmt.Reduce_to r when env.guard <> None ->
     compile_guarded_reduce env (Option.get env.guard) r
   | Stmt.Reduce_to { r_var; r_indices; r_op; r_value; r_atomic } -> (
     let c = find_cell env r_var in
-    let combine =
-      match r_op with
-      | Types.R_add -> ( +. )
-      | Types.R_mul -> ( *. )
-      | Types.R_min -> Float.min
-      | Types.R_max -> Float.max
+    let deferred =
+      match env.region with
+      | Some rg when not (Hashtbl.mem rg.rg_locals r_var) ->
+        (* target lives outside the parallel region: defer via the event
+           log; the master replays in sequential iteration order *)
+        let site_id = rg.rg_next in
+        rg.rg_next <- rg.rg_next + 1;
+        if rg.rg_first then
+          rg.rg_sites :=
+            { rs_name = r_var; rs_cell = c; rs_op = r_op } :: !(rg.rg_sites);
+        Some (rg.rg_log, site_id)
+      | _ -> None
     in
-    match env.region with
-    | Some rg when not (Hashtbl.mem rg.rg_locals r_var) -> (
-      (* target lives outside the parallel region: defer via the event
-         log; the master replays in sequential iteration order *)
-      let site_id = rg.rg_next in
-      rg.rg_next <- rg.rg_next + 1;
-      if rg.rg_first then
-        rg.rg_sites :=
-          { rs_name = r_var; rs_cell = c; rs_combine = combine }
-          :: !(rg.rg_sites);
-      let lg = rg.rg_log in
+    if env.fused then begin
+      let o = fst (compile_offset_k env r_var c r_indices) in
+      let v = compile_fk env r_value in
+      match deferred with
+      | _ when not (Hashtbl.mem env.cells r_var) ->
+        fun () -> ignore (cell_tensor r_var c)
+      | Some (lg, site_id) ->
+        let s, f = as_node v in
+        let o = ofs_thunk o in
+        fun () ->
+          let k = o () in
+          f ();
+          log_push lg site_id k s.v
+      | None when Types.is_float (dtype_of env r_var) -> fuse_reduce r_op c o v
+      | None ->
+        (* integer target: combine in float, store truncated, exactly as
+           the tensor accessors do *)
+        let s, f = as_node v in
+        let o = ofs_thunk o in
+        fun () ->
+          let k = o () in
+          f ();
+          Array.unsafe_set c.ia k
+            (int_of_float (combine r_op (float_of_int c.ia.(k)) s.v))
+    end
+    else
+      (* profiled *)
       let site = prof_site env r_var in
       let off = compile_offset env r_var c r_indices in
       let fv = compile_f env r_value in
-      match site with
-      | None ->
+      let count t =
+        match site with
+        | Some (ctr, rd, wr) ->
+          let total = Tensor.byte_size t in
+          rd total;
+          Profile.bump_reduce ~atomic:r_atomic ctr r_op;
+          wr total
+        | None -> ()
+      in
+      match deferred with
+      | Some (lg, site_id) ->
         fun () ->
+          let t = cell_tensor r_var c in
           let o = off () in
           let v = fv () in
+          count t;
           log_push lg site_id o v
-      | Some (ctr, rd, wr) ->
-        let rop = r_op and atomic = r_atomic in
-        fun () ->
-          let t = cell_tensor r_var c in
-          let o = off () in
-          let v = fv () in
-          let total = Tensor.byte_size t in
-          rd total;
-          Profile.bump_reduce ~atomic ctr rop;
-          wr total;
-          log_push lg site_id o v)
-    | _ -> (
-      let site = prof_site env r_var in
-      let off = compile_offset env r_var c r_indices in
-      let fv = compile_f env r_value in
-      match site with
       | None ->
         fun () ->
           let t = cell_tensor r_var c in
           let o = off () in
-          Tensor.unsafe_set_f t o (combine (Tensor.unsafe_get_f t o) (fv ()))
-      | Some (ctr, rd, wr) ->
-        let rop = r_op and atomic = r_atomic in
-        fun () ->
-          let t = cell_tensor r_var c in
-          let o = off () in
           let v = fv () in
-          let total = Tensor.byte_size t in
-          rd total;
-          Profile.bump_reduce ~atomic ctr rop;
-          wr total;
-          Tensor.unsafe_set_f t o (combine (Tensor.unsafe_get_f t o) v)))
+          count t;
+          Tensor.unsafe_set_f t o (combine r_op (Tensor.unsafe_get_f t o) v))
   | Stmt.Var_def d -> (
     let name = d.Stmt.d_name in
     let dims = List.map (compile_i env) d.Stmt.d_shape in
     let sshape = static_shape d.Stmt.d_shape in
-    let c = { t = None } in
+    let c = new_cell () in
     Hashtbl.add env.cells name c;
     Hashtbl.add env.dtypes name d.Stmt.d_dtype;
     Hashtbl.add env.mtypes name d.Stmt.d_mtype;
@@ -1017,38 +1393,55 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
     Hashtbl.remove env.dtypes name;
     Hashtbl.remove env.cells name;
     let dtype = d.Stmt.d_dtype in
-    let make =
-      match sshape with
-      | Some dims -> fun () -> Tensor.create dtype (Array.copy dims)
+    match sshape with
+    | Some sdims when env.fused ->
+      (* Recycled buffer: created on first entry, then re-armed on every
+         later one — charged to the installed budget and zeroed exactly
+         as [Tensor.create] would.  It belongs to this compiled artifact,
+         which is sound because an artifact never runs two calls at once
+         (see the top of this file). *)
+      let held = ref None in
+      fun () ->
+        (match !held with
+         | Some t -> Tensor.recycle t
+         | None -> held := Some (Tensor.create dtype (Array.copy sdims)));
+        bind c !held;
+        body ();
+        c.t <- None;
+        Option.iter Tensor.arena_free !held
+    | _ -> (
+      let make =
+        match sshape with
+        | Some sdims -> fun () -> Tensor.create dtype (Array.copy sdims)
+        | None ->
+          fun () ->
+            Tensor.create dtype (Array.of_list (List.map (fun f -> f ()) dims))
+      in
+      let init_shadow =
+        match shadow with
+        | None -> fun (_ : Tensor.t) -> ()
+        | Some bref ->
+          fun t -> bref := Bytes.make (max 1 (Tensor.numel t)) '\000'
+      in
+      match sink_alloc env with
       | None ->
         fun () ->
-          Tensor.create dtype (Array.of_list (List.map (fun f -> f ()) dims))
-    in
-    let init_shadow =
-      match shadow with
-      | None -> fun (_ : Tensor.t) -> ()
-      | Some bref ->
-        fun t -> bref := Bytes.make (max 1 (Tensor.numel t)) '\000'
-    in
-    match sink_alloc env with
-    | None ->
-      fun () ->
-        let t = make () in
-        c.t <- Some t;
-        init_shadow t;
-        body ();
-        c.t <- None;
-        Tensor.arena_free t
-    | Some (alloc, release) ->
-      fun () ->
-        let t = make () in
-        c.t <- Some t;
-        init_shadow t;
-        alloc (Tensor.byte_size t);
-        body ();
-        release (Tensor.byte_size t);
-        c.t <- None;
-        Tensor.arena_free t)
+          let t = make () in
+          bind c (Some t);
+          init_shadow t;
+          body ();
+          bind c None;
+          Tensor.arena_free t
+      | Some (alloc, release) ->
+        fun () ->
+          let t = make () in
+          bind c (Some t);
+          init_shadow t;
+          alloc (Tensor.byte_size t);
+          body ();
+          release (Tensor.byte_size t);
+          bind c None;
+          Tensor.arena_free t))
   | Stmt.For f ->
     let pool_scope =
       match f.Stmt.f_property.Stmt.parallel with
@@ -1155,12 +1548,7 @@ and emit_microkernel (env : cenv) (_s : Stmt.t) (body : Stmt.t) :
     let operand (ac : Blockize.access) =
       let c = find_cell env ac.Blockize.ac_var in
       let off = compile_offset env ac.Blockize.ac_var c ac.Blockize.ac_base in
-      (ac.Blockize.ac_var, c, off, ac.Blockize.ac_strides)
-    in
-    let buf name c =
-      match Tensor.float_data (cell_tensor name c) with
-      | Some arr -> arr
-      | None -> err "microkernel operand %s is not float-buffered" name
+      (c, off, ac.Blockize.ac_strides)
     in
     let scalar = compile_stmt env body in
     (match d with
@@ -1168,12 +1556,12 @@ and emit_microkernel (env : cenv) (_s : Stmt.t) (body : Stmt.t) :
        let m = mm_i.Blockize.bl_len
        and n = mm_j.Blockize.bl_len
        and kdim = mm_k.Blockize.bl_len in
-       let cn, cc, cf, cs = operand mm_c in
-       let an, ca, af, sa = operand mm_a in
-       let bn, cb, bf, sb = operand mm_b in
+       let cc, cf, cs = operand mm_c in
+       let ca, af, sa = operand mm_a in
+       let cb, bf, sb = operand mm_b in
        Some
          (fun () ->
-           let c = buf cn cc and a = buf an ca and b = buf bn cb in
+           let c = cc.fa and a = ca.fa and b = cb.fa in
            if c == a || c == b then scalar ()
            else
              Kernels.matmul ~m ~n ~kdim ~init:mm_init ~c ~cb:(cf ())
@@ -1182,35 +1570,35 @@ and emit_microkernel (env : cenv) (_s : Stmt.t) (body : Stmt.t) :
                ~bsj:sb.(1) ~bsk:sb.(2))
      | Blockize.Dot { d_k; d_dst; d_a; d_b } ->
        let kdim = d_k.Blockize.bl_len in
-       let dn, dc, df, _ = operand d_dst in
-       let an, ca, af, sa = operand d_a in
-       let bn, cb, bf, sb = operand d_b in
+       let dc, df, _ = operand d_dst in
+       let ca, af, sa = operand d_a in
+       let cb, bf, sb = operand d_b in
        Some
          (fun () ->
-           let dd = buf dn dc and a = buf an ca and b = buf bn cb in
+           let dd = dc.fa and a = ca.fa and b = cb.fa in
            if dd == a || dd == b then scalar ()
            else
              Kernels.dot ~kdim ~d:dd ~db:(df ()) ~a ~ab:(af ()) ~as_:sa.(0)
                ~b ~bb:(bf ()) ~bs:sb.(0))
      | Blockize.Axpy { x_k; x_dst; x_a; x_b } ->
        let kdim = x_k.Blockize.bl_len in
-       let dn, dc, df, ds = operand x_dst in
-       let an, ca, af, sa = operand x_a in
-       let bn, cb, bf, sb = operand x_b in
+       let dc, df, ds = operand x_dst in
+       let ca, af, sa = operand x_a in
+       let cb, bf, sb = operand x_b in
        Some
          (fun () ->
-           let dd = buf dn dc and a = buf an ca and b = buf bn cb in
+           let dd = dc.fa and a = ca.fa and b = cb.fa in
            if dd == a || dd == b then scalar ()
            else
              Kernels.axpy ~kdim ~d:dd ~db:(df ()) ~ds:ds.(0) ~a ~ab:(af ())
                ~as_:sa.(0) ~b ~bb:(bf ()) ~bs:sb.(0))
      | Blockize.Reduce { r_k; r_dst; r_src } ->
        let kdim = r_k.Blockize.bl_len in
-       let dn, dc, df, _ = operand r_dst in
-       let an, ca, af, sa = operand r_src in
+       let dc, df, _ = operand r_dst in
+       let ca, af, sa = operand r_src in
        Some
          (fun () ->
-           let dd = buf dn dc and a = buf an ca in
+           let dd = dc.fa and a = ca.fa in
            if dd == a then scalar ()
            else Kernels.reduce ~kdim ~d:dd ~db:(df ()) ~a ~ab:(af ()) ~as_:sa.(0)))
 
@@ -1310,13 +1698,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
     unit -> unit =
   let { Stmt.r_var; r_indices; r_op; r_value; r_atomic } = r in
   let c = find_cell env r_var in
-  let combine =
-    match r_op with
-    | Types.R_add -> ( +. )
-    | Types.R_mul -> ( *. )
-    | Types.R_min -> Float.min
-    | Types.R_max -> Float.max
-  in
   let site = prof_site env r_var in
   let acc = guard_access env g ~access:Diag.Acc_reduce r_var c r_indices in
   let unin = guard_uninit_check g r_var c in
@@ -1357,7 +1738,7 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
     rg.rg_next <- rg.rg_next + 1;
     if rg.rg_first then
       rg.rg_sites :=
-        { rs_name = r_var; rs_cell = c; rs_combine = combine }
+        { rs_name = r_var; rs_cell = c; rs_op = r_op }
         :: !(rg.rg_sites);
     let lg = rg.rg_log in
     match acc with
@@ -1393,7 +1774,7 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
          | Some pb -> pb (Tensor.byte_size t)
          | None -> ());
         checks t o None v;
-        Tensor.unsafe_set_f t o (combine (Tensor.unsafe_get_f t o) v)
+        Tensor.unsafe_set_f t o (combine r_op (Tensor.unsafe_get_f t o) v)
     | `Checked (eval_idx, check) ->
       fun () ->
         let idx = eval_idx () in
@@ -1404,7 +1785,7 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
          | None -> ());
         let o = check idx in
         checks t o (Some idx) v;
-        Tensor.unsafe_set_f t o (combine (Tensor.unsafe_get_f t o) v))
+        Tensor.unsafe_set_f t o (combine r_op (Tensor.unsafe_get_f t o) v))
 
 and compile_seq_for (env : cenv) (f : Stmt.for_loop) : unit -> unit =
   let poll = env.sup_poll in
@@ -1563,6 +1944,8 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
     in
     let saved_sink = env.psink in
     (match shard with Some sh -> env.psink <- P_shard sh | None -> ());
+    let checks = ref 0 in
+    (match env.guard with Some g -> g.gc_counter <- Some checks | None -> ());
     env.in_par <- true;
     (* [defer:false] (statically [Safe] loop): no iteration shares an
        element with another, so reduces write their targets directly and
@@ -1586,7 +1969,9 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
     env.region <- None;
     env.in_par <- false;
     env.psink <- saved_sink;
-    { pi_ref = r; pi_body = body; pi_shard = shard; pi_log = lg }
+    (match env.guard with Some g -> g.gc_counter <- None | None -> ());
+    { pi_ref = r; pi_body = body; pi_shard = shard; pi_log = lg;
+      pi_checks = checks }
   in
   let rec build k acc =
     if k = k_inst then Array.of_list (List.rev acc)
@@ -1599,10 +1984,15 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
       let lg = instances.(ci).pi_log in
       for j = 0 to lg.lg_len - 1 do
         let site = sites.(lg.lg_site.(j)) in
-        let t = cell_tensor site.rs_name site.rs_cell in
+        let c = site.rs_cell in
         let o = lg.lg_off.(j) in
-        Tensor.unsafe_set_f t o
-          (site.rs_combine (Tensor.unsafe_get_f t o) lg.lg_val.(j))
+        ignore (cell_tensor site.rs_name c);
+        if Array.length c.fa > 0 then
+          c.fa.%(o) <- combine site.rs_op c.fa.%(o) lg.lg_val.(j)
+        else
+          Array.unsafe_set c.ia o
+            (int_of_float
+               (combine site.rs_op (float_of_int c.ia.(o)) lg.lg_val.(j)))
       done;
       lg.lg_len <- 0
     done
@@ -1617,6 +2007,20 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
         | None -> ()
       done
   in
+  (* the workers' private guard-check counts, summed on the master after
+     the join (whether or not a chunk faulted), so the total is exact *)
+  let count_checks =
+    match env.guard with
+    | None -> fun () -> ()
+    | Some g ->
+      let st = g.gc_stats in
+      fun () ->
+        Array.iter
+          (fun inst ->
+            st.gs_checks <- st.gs_checks + !(inst.pi_checks);
+            inst.pi_checks := 0)
+          instances
+  in
   fun () ->
     let b = fb () in
     let e = fe () and st = fs () in
@@ -1628,15 +2032,20 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
       let inst = instances.(0) in
       inst.pi_log.lg_len <- 0;
       let i = ref b in
-      while !i < e do
-        if poll then Ft_machine.Machine.poll ();
-        (match myc with
-         | Some c -> c.Profile.trips <- c.Profile.trips + 1
-         | None -> ());
-        inst.pi_ref := !i;
-        inst.pi_body ();
-        i := !i + st
-      done;
+      (try
+         while !i < e do
+           if poll then Ft_machine.Machine.poll ();
+           (match myc with
+            | Some c -> c.Profile.trips <- c.Profile.trips + 1
+            | None -> ());
+           inst.pi_ref := !i;
+           inst.pi_body ();
+           i := !i + st
+         done
+       with exn ->
+         count_checks ();
+         raise exn);
+      count_checks ();
       replay 1;
       merge 1
     end
@@ -1648,7 +2057,7 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
          | None -> ());
         let chunks = min (min trip (Exec_par.num_domains ())) k_inst in
         let q = trip / chunks and rem = trip mod chunks in
-        Exec_par.run_chunks chunks (fun ci ->
+        (match Exec_par.run_chunks chunks (fun ci ->
             let inst = instances.(ci) in
             inst.pi_log.lg_len <- 0;
             let lo = (ci * q) + min ci rem in
@@ -1669,7 +2078,12 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
               for j = lo to hi - 1 do
                 r := b + (j * st);
                 body ()
-              done);
+              done)
+         with
+         | () -> count_checks ()
+         | exception exn ->
+           count_checks ();
+           raise exn);
         replay chunks;
         merge chunks
       end
@@ -1687,7 +2101,7 @@ let rec compile_host (p : Profile.t) (env : cenv) (s : Stmt.t) : unit -> unit =
     env.pctr <- Some (Profile.ctr p s.Stmt.sid);
     let name = d.Stmt.d_name in
     let dims = List.map (compile_i env) d.Stmt.d_shape in
-    let c = { t = None } in
+    let c = new_cell () in
     Hashtbl.add env.cells name c;
     Hashtbl.add env.dtypes name d.Stmt.d_dtype;
     Hashtbl.add env.mtypes name d.Stmt.d_mtype;
@@ -1711,14 +2125,14 @@ let rec compile_host (p : Profile.t) (env : cenv) (s : Stmt.t) : unit -> unit =
       let t =
         Tensor.create dtype (Array.of_list (List.map (fun f -> f ()) dims))
       in
-      c.t <- Some t;
+      bind c (Some t);
       (match shadow with
        | Some bref -> bref := Bytes.make (max 1 (Tensor.numel t)) '\000'
        | None -> ());
       Profile.alloc p (Tensor.byte_size t);
       body ();
       Profile.release p (Tensor.byte_size t);
-      c.t <- None;
+      bind c None;
       Tensor.arena_free t
   | _ ->
     let root = s in
@@ -1818,6 +2232,7 @@ let compile ?profile ?(parallel = false) ?(on_race = `Fallback)
           gc_shadows = Hashtbl.create 8;
           gc_iters = [];
           gc_stmt = None;
+          gc_counter = None;
           gc_stats =
             { gs_sites = 0; gs_checked = 0; gs_elided = 0; gs_checks = 0 } }
     end
@@ -1829,13 +2244,14 @@ let compile ?profile ?(parallel = false) ?(on_race = `Fallback)
       shapes = Hashtbl.create 32; prof = profile;
       psink = (match profile with Some p -> P_direct p | None -> P_off);
       pctr = None; par = parallel; verdicts; in_par = false; region = None;
-      loops = []; guard = gstate; sup = hooks;
+      loops = []; guard = gstate; fused = profile = None && not guard;
+      sup = hooks;
       (* under profiling, compile_host owns the kernel segmentation *)
       sup_host = hooks && profile = None; sup_poll = false }
   in
   List.iter
     (fun (p : Stmt.param) ->
-      Hashtbl.add env.cells p.Stmt.p_name { t = None };
+      Hashtbl.add env.cells p.Stmt.p_name (new_cell ());
       Hashtbl.add env.dtypes p.Stmt.p_name p.Stmt.p_dtype;
       Hashtbl.add env.mtypes p.Stmt.p_name p.Stmt.p_mtype;
       match p.Stmt.p_shape with
@@ -1880,8 +2296,19 @@ let compile ?profile ?(parallel = false) ?(on_race = `Fallback)
                (Diag.arg_shape ~fn:fn.Stmt.fn_name p.Stmt.p_name
                   ~declared:dims ~got:(Tensor.shape t))
            | _ -> ());
+          (* fused loads index the buffer the declared dtype implies *)
+          if Types.is_float p.Stmt.p_dtype <> Types.is_float (Tensor.dtype t)
+          then
+            entry_err
+              (Diag.make ~tensor:p.Stmt.p_name ~code:Diag.Shape_mismatch
+                 ~fn:fn.Stmt.fn_name
+                 (Printf.sprintf
+                    "argument %s: tensor dtype %s does not match declared %s"
+                    p.Stmt.p_name
+                    (Types.dtype_to_string (Tensor.dtype t))
+                    (Types.dtype_to_string p.Stmt.p_dtype)));
           (match Hashtbl.find_opt env.cells p.Stmt.p_name with
-           | Some c -> c.t <- Some t
+           | Some c -> bind c (Some t)
            | None -> ()))
       fn.Stmt.fn_params;
     match profile with

@@ -60,7 +60,15 @@ type compiled = {
           ignored, as does a tensor whose shape contradicts the
           parameter's compile-time-static declared shape.  The error
           messages are the canonical {!Ft_ir.Diag} renderings, shared
-          with {!Interp.run_func} under guard. *)
+          with {!Interp.run_func} under guard; so does a tensor whose
+          dtype is float where the declared one is integer, or the
+          reverse (compiled loads index the buffer the declared dtype
+          implies).
+
+          Not reentrant: the artifact keeps per-run state (parameter
+          bindings, expression slots, recycled local buffers), so two
+          calls of one [cd_run] must never overlap.  The serving layer
+          keeps same-key requests sequential for exactly this reason. *)
   cd_guard : guard_stats option;
       (** [Some] iff compiled with [~guard:true]. *)
 }

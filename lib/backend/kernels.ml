@@ -18,8 +18,10 @@
     rest of the unguarded compiled path, in-bounds access is the
     program's obligation (the guarded path never runs these kernels). *)
 
-let ( .!() ) a k = Array.unsafe_get a k
-let ( .!()<- ) a k v = Array.unsafe_set a k v
+(* annotated so the primitives are the unboxed float-array ones (a
+   polymorphic accessor boxes every element it reads) *)
+let ( .!() ) (a : float array) k = Array.unsafe_get a k
+let ( .!()<- ) (a : float array) k v = Array.unsafe_set a k v
 
 (** Register-tiled i-j-k matmul generalized to arbitrary constant
     strides: for each [(i, j)], [C] starts from [init] (or its current

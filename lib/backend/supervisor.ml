@@ -69,6 +69,11 @@ type t = {
   sv_fn : Stmt.func;
   sv_policy : policy;
   sv_backends : prepared_backend list;
+  sv_snapshots : (string, Tensor.t) Hashtbl.t;
+      (* per-argument snapshot buffers, reused across requests.  Like the
+         compiled closures' recycled buffers this is per-artifact mutable
+         state: sound because one artifact never executes two requests
+         at once (the serving layer keeps same-key requests sequential) *)
 }
 
 (* Capped exponential backoff in simulated-clock ticks: 0 for the first
@@ -136,7 +141,8 @@ let prepare ~policy (fn : Stmt.func) : t =
     { pb_backend = b; pb_impl = impl; pb_guard = guard }
   in
   { sv_fn = fn; sv_policy = policy;
-    sv_backends = List.map mk policy.backends }
+    sv_backends = List.map mk policy.backends;
+    sv_snapshots = Hashtbl.create 4 }
 
 (* Guard statistics of the prepared compiled backends (empty unless the
    policy compiled with [guard]) — the serving layer snapshots these
@@ -178,7 +184,17 @@ let exec ?plan ?(sizes = []) ?(skip = 0) (sv : t)
   let snapshot =
     List.filter_map
       (fun (n, t) ->
-        if List.mem n mutated then Some (n, Tensor.copy t) else None)
+        if not (List.mem n mutated) then None
+        else
+          match Hashtbl.find_opt sv.sv_snapshots n with
+          | Some s when Tensor.dims s = Tensor.dims t
+                        && Tensor.dtype s = Tensor.dtype t ->
+            Tensor.copy_into ~src:t ~dst:s;
+            Some (n, s)
+          | _ ->
+            let s = Tensor.copy t in
+            Hashtbl.replace sv.sv_snapshots n s;
+            Some (n, s))
       args
   in
   let restore () =

@@ -287,8 +287,10 @@ let run (fn : Stmt.func) : Stmt.func =
   let dtype_of v = Hashtbl.find_opt dtypes v in
   let rec go (s : Stmt.t) : Stmt.t =
     match s.Stmt.node with
-    (* already wrapped (or deliberately library-bound): leave alone *)
-    | Stmt.Microkernel _ | Stmt.Lib_call _ -> s
+    (* already wrapped: leave alone.  A [Lib_call] keeps its wrapper (the
+       cost model prices it) but its body is an ordinary nest, so it
+       falls through to the recursive case below. *)
+    | Stmt.Microkernel _ -> s
     | Stmt.Var_def d ->
       (* lexical scoping: bind, recurse, restore *)
       let saved_s = Hashtbl.find_opt shapes d.Stmt.d_name in

@@ -169,16 +169,22 @@ let buf_bytes dtype n = n * Types.dtype_size dtype
 
 (* Charge [bytes] to [b] and every ancestor; on overflow anywhere in the
    chain, credit back the levels already charged so a fallback attempt
-   under the same budgets starts from an honest counter. *)
-let rec charge_chain b bytes =
-  let before = Atomic.fetch_and_add b.bg_live bytes in
-  if before + bytes > b.bg_cap then begin
-    ignore (Atomic.fetch_and_add b.bg_live (-bytes));
+   under the same budgets starts from an honest counter.  Each level
+   reserves with a compare-and-set loop, so no domain ever observes a
+   counter above its cap (an add-then-roll-back would expose the
+   overshoot, and refuse a concurrent neighbour's honest charge). *)
+let rec reserve b bytes =
+  let before = Atomic.get b.bg_live in
+  if before + bytes > b.bg_cap then
     raise
       (Ft_ir.Diag.Diag_error
-         (Ft_ir.Diag.oom_budget ~fn:b.bg_fn ~requested:bytes
-            ~live:before ~budget:b.bg_cap))
-  end;
+         (Ft_ir.Diag.oom_budget ~fn:b.bg_fn ~requested:bytes ~live:before
+            ~budget:b.bg_cap))
+  else if not (Atomic.compare_and_set b.bg_live before (before + bytes)) then
+    reserve b bytes
+
+let rec charge_chain b bytes =
+  reserve b bytes;
   match b.bg_parent with
   | None -> ()
   | Some p ->
@@ -200,6 +206,14 @@ let create dtype shape =
     else Ibuf (Array.make n 0)
   in
   { shape; strides = strides_of_shape shape; dtype; buf }
+
+(* Re-arm a buffer reused across scope entries: charge and zero it
+   exactly as [create] does a fresh one. *)
+let recycle t =
+  charge t.dtype t.shape;
+  match t.buf with
+  | Fbuf a -> Array.fill a 0 (Array.length a) 0.0
+  | Ibuf a -> Array.fill a 0 (Array.length a) 0
 
 let arena_free t =
   match Domain.DLS.get scope with
@@ -445,7 +459,7 @@ let unsafe_set_i t k v =
   | Ibuf a -> Array.unsafe_set a k v
   | Fbuf a -> Array.unsafe_set a k (float_of_int v)
 
-(** The raw float buffer, without a copy, for tensorized microkernels
-    that loop over flat arrays directly.  [None] for integer-buffered
-    tensors — callers must fall back to the per-element accessors. *)
-let float_data t = match t.buf with Fbuf a -> Some a | Ibuf _ -> None
+(** The raw buffers, without a copy, for compiled code that indexes flat
+    arrays directly; [[||]] for the kind the tensor is not buffered as. *)
+let float_buf t = match t.buf with Fbuf a -> a | Ibuf _ -> [||]
+let int_buf t = match t.buf with Ibuf a -> a | Fbuf _ -> [||]

@@ -136,6 +136,11 @@ val unbudgeted : (unit -> 'a) -> 'a
 (** Live bytes of the installed scope (0 when none is installed). *)
 val live_bytes : unit -> int
 
+(** Re-arm a buffer that is reused across scope entries instead of
+    re-created: charge the installed budget and zero it, exactly as
+    {!create} does a fresh tensor. *)
+val recycle : t -> unit
+
 (** Credit a tensor's bytes back to the arena (scope exit). *)
 val arena_free : t -> unit
 
@@ -182,9 +187,12 @@ val unsafe_set_f : t -> int -> float -> unit
 val unsafe_get_i : t -> int -> int
 val unsafe_set_i : t -> int -> int -> unit
 
-(** The raw float buffer without a copy ([None] for integer-buffered
-    tensors) — for tensorized microkernels looping over flat arrays. *)
-val float_data : t -> float array option
+(** The raw buffers without a copy — for compiled code and microkernels
+    looping over flat arrays.  [[||]] for the kind the tensor is not
+    buffered as (floats for integer dtypes, and vice versa). *)
+val float_buf : t -> float array
+
+val int_buf : t -> int array
 
 (** Value of a one-element tensor. *)
 val to_scalar_f : t -> float

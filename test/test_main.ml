@@ -21,4 +21,5 @@ let () =
       ("supervisor", Test_supervisor.suite);
       ("serve", Test_serve.suite);
       ("litmus", Test_litmus.suite);
-      ("lower", Test_lower.suite) ]
+      ("lower", Test_lower.suite);
+      ("exec", Test_exec.suite) ]
