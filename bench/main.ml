@@ -161,10 +161,10 @@ let table2 () =
     E.all_workloads
 
 (* ------------------------------------------------------------- *)
-(* Predicted-vs-observed profiles: run every workload under both
-   executors at small scale (execution is real, so paper scale would
-   take hours under the interpreter), cross-check the observed counters
-   between the executors, and price them against the cost model. *)
+(* Predicted-vs-observed profiles: profile every workload's served
+   (lowered) tree under the interpreter at small scale (execution is
+   real, so paper scale would take hours), and price the observed
+   counters against the cost model. *)
 
 let profile () =
   List.iter

@@ -8,9 +8,9 @@
      ftc estimate <workload> [-d dev]   abstract-machine cost estimate
      ftc run <workload> [-x exec]       execute and check vs reference
                                         (interp | compiled | parallel)
-     ftc profile <workload> [-d dev]    execute under both executors with
-                                        observed counters, cross-checked
-                                        against the cost model
+     ftc profile <workload> [-d dev]    profile the served (lowered) tree
+                                        with observed counters, against
+                                        the cost model
      ftc check <workload> [-d dev]      static race report for every
                                         parallel-annotated loop; exits 1
                                         if any loop is Racy
@@ -266,8 +266,9 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Execute under both executors with observed per-kernel counters, \
-          cross-checked against each other and the analytic cost model")
+         "Profile the tree the compiled executor serves (lowered, with \
+          microkernel nests) with observed per-kernel counters, against \
+          the analytic cost model")
     Term.(const run $ wl_arg $ device_arg)
 
 let check_cmd =

@@ -5,10 +5,17 @@
     resolved lexically to mutable cells at compile time, dtypes are
     settled statically, and float expressions fuse into one closure per
     operator node specialized on its operands' kinds (see "Fused
-    operands" below) — and then runs the closures.  It plays the role nvcc/gcc play in the
-    paper's pipeline for this repository's in-process execution, and the
-    test suite cross-checks it against the reference interpreter on
-    every workload.
+    operands" below) — and then runs the closures.  It plays the role
+    nvcc/gcc play in the paper's pipeline for this repository's
+    in-process execution, and the test suite cross-checks it against the
+    reference interpreter on every workload.
+
+    There are two closure paths: the plain (fused) path and the guarded
+    path ([~guard:true]).  The guarded path keeps plain [unit -> float]
+    expression thunks; the plain path is fused, and in steady state it
+    allocates nothing per element.  Neither counts anything: {!Interp}
+    is the one profiler, and it observes the served code by running on
+    [cd_fn], the tree compiled here.
 
     Two execution-speed layers on top of the plain closure walk:
 
@@ -19,37 +26,24 @@
       loop's iterator, to a strength-reduced running offset that the
       loop advances by [stride * step] per trip instead of re-evaluating
       the full dot product.  The affine analysis lives in
-      {!Ft_lower.Address} and is shared by the plain, profiled and
-      guarded paths: profiled closures statically replicate the replaced
-      arithmetic's per-node operation counts (exact on the affine
-      domain, which contains no short-circuit or select node), so
-      observed counters still match {!Interp} exactly.
+      {!Ft_lower.Address} and is shared by both paths.
 
-    Before closure compilation, unprofiled unguarded functions run
-    through the {!Ft_lower.Pass} pipeline (normalize, hoist, blockize);
-    [Microkernel] nests the pipeline marked compile to hand-written flat
-    kernels from {!Kernels} when nothing needs the scalar body's
-    per-access effects.
+    Before closure compilation, unguarded functions run through the
+    {!Ft_lower.Pass} pipeline (normalize, hoist, blockize); [Microkernel]
+    nests the pipeline marked compile to hand-written flat kernels from
+    {!Kernels} when nothing needs the scalar body's per-access effects.
 
     - {b Domain-pool parallel loops.}  With [~parallel:true], loops
       annotated [Openmp] / [Cuda_block_*] by the scheduler execute their
       iteration chunks on the {!Exec_par} domain pool.  Each worker runs
       a private compiled instance of the loop body (own iterator cell,
-      own locals, own profile shard), so workers share no mutable
-      executor state.  Reductions into tensors defined outside the loop
-      are logged as [(site, offset, value)] events and replayed by the
+      own locals, own event log), so workers share no mutable executor
+      state.  Reductions into tensors defined outside the loop are
+      logged as [(site, offset, value)] events and replayed by the
       master in chunk order after the join — exactly the sequential
       iteration order — so results are bitwise-identical to sequential
       execution and to any other pool size.  Loops whose body reads or
       stores a reduced tensor fall back to sequential execution.
-
-    Profiling is decided at *compile* time: with [?profile] the emitted
-    thunks carry counter increments matching {!Interp}'s observed counts
-    exactly (parallel workers count into private shards that merge at
-    region exit); without it the hot path pays nothing.  The profiled and
-    guarded paths keep plain [unit -> float] expression thunks; only the
-    plain path is fused, and in steady state it allocates nothing per
-    element.
 
     A compiled artifact holds per-run mutable state — parameter cells,
     fused slots, recycled [Var_def] buffers — so one artifact must never
@@ -59,7 +53,6 @@
 
 open Ft_ir
 open Ft_runtime
-module Profile = Ft_profile.Profile
 module Race = Ft_analyze.Race
 module Boundcheck = Ft_analyze.Boundcheck
 module Address = Ft_lower.Address
@@ -216,7 +209,6 @@ let guard_checks_since (g : guard_stats) (s : guard_snapshot) =
 type gstate = {
   gc_fn : string;
   gc_proved : (string, unit) Hashtbl.t; (* Boundcheck.site_key set *)
-  gc_policy : [ `Check | `Elide | `Raise ];
   gc_shadows : (string, Bytes.t ref) Hashtbl.t;
   mutable gc_iters : (string * int ref) list; (* innermost first *)
   mutable gc_stmt : Stmt.t option;
@@ -307,32 +299,20 @@ let guard_nonfinite g ~access name =
 (* ------------------------------------------------------------------ *)
 (* Compile environment *)
 
-(* where profiling counters go: directly into the profile (master), into
-   a worker's private shard (parallel body instances), or nowhere *)
-type psink =
-  | P_off
-  | P_direct of Profile.t
-  | P_shard of Profile.shard
-
 type cenv = {
   cells : (string, cell) Hashtbl.t;   (* lexical: Hashtbl.add/remove *)
   orphans : (string, cell) Hashtbl.t; (* undeclared names; see find_cell *)
   ints : (string, int ref) Hashtbl.t; (* lexical loop iterators *)
   gints : (string, int ref) Hashtbl.t; (* free ints: size parameters *)
   dtypes : (string, Types.dtype) Hashtbl.t;
-  mtypes : (string, Types.mtype) Hashtbl.t;
   shapes : (string, int array) Hashtbl.t; (* compile-time-static only *)
-  prof : Profile.t option;
-  mutable psink : psink;
-  mutable pctr : Profile.counters option; (* current statement's counters *)
   par : bool;                    (* honor parallel annotations *)
   verdicts : (int, Race.verdict) Hashtbl.t;
       (* static race verdict per annotated For sid (parallel mode only) *)
   mutable in_par : bool;         (* compiling inside a region instance *)
   mutable region : region option;
   mutable loops : open_loop list; (* open loops, innermost first *)
-  guard : gstate option;
-  fused : bool; (* neither guarded nor profiled: the fused-operand path *)
+  guard : gstate option; (* [None]: the fused-operand path *)
   sup : bool; (* emit supervisor hooks (kernel boundaries, poll points) *)
   mutable sup_host : bool;
       (* compiling at host (kernel-boundary) level: the next non-Seq,
@@ -374,59 +354,6 @@ let dtype_of env name =
   | Some dt -> dt
   | None -> Types.F32 (* orphan (unexecuted-branch) names only *)
 
-let sink_ctr env sid =
-  match env.psink with
-  | P_off -> None
-  | P_direct p -> Some (Profile.ctr p sid)
-  | P_shard sh -> Some (Profile.shard_ctr sh sid)
-
-let sink_alloc env =
-  match env.psink with
-  | P_off -> None
-  | P_direct p ->
-    Some ((fun b -> Profile.alloc p b), fun b -> Profile.release p b)
-  | P_shard sh ->
-    Some ((fun b -> Profile.shard_alloc sh b), fun b -> Profile.shard_release sh b)
-
-(* Compile-time site info for an instrumented tensor access: [None] when
-   not profiling.  [rd]/[wr] take the tensor's total byte size. *)
-let prof_site env name =
-  match env.pctr with
-  | None -> None
-  | Some c ->
-    let dram =
-      match Hashtbl.find_opt env.mtypes name with
-      | Some (Types.Cpu_heap | Types.Gpu_global) -> true
-      | _ -> false
-    in
-    let elem = Types.dtype_size (dtype_of env name) in
-    (match env.psink with
-     | P_off -> None
-     | P_direct p ->
-       Some
-         ( c,
-           (fun total -> Profile.record_read p c ~dram ~name ~elem ~total),
-           fun total -> Profile.record_write p c ~dram ~name ~elem ~total )
-     | P_shard sh ->
-       Some
-         ( c,
-           (fun total -> Profile.shard_read sh c ~dram ~name ~elem ~total),
-           fun total -> Profile.shard_write sh c ~dram ~name ~elem ~total ))
-
-(* Wrap an expression thunk with its operation-count increment.  The
-   increment closure is only built when profiling is on AND the node's
-   root operator counts — otherwise the original thunk is returned. *)
-let wrap_bump env e base =
-  match env.pctr with
-  | None -> base
-  | Some c -> (
-    match Profile.expr_bump e with
-    | None -> base
-    | Some g ->
-      fun () ->
-        g c;
-        base ())
-
 (* ------------------------------------------------------------------ *)
 (* Compile-time shape/index arithmetic *)
 
@@ -440,13 +367,7 @@ let static_shape (dims : Expr.t list) : int array option =
     Some (Array.of_list (List.map Option.get sdims))
   else None
 
-let static_strides dims =
-  let n = Array.length dims in
-  let s = Array.make n 1 in
-  for k = n - 2 downto 0 do
-    s.(k) <- s.(k + 1) * dims.(k + 1)
-  done;
-  s
+let static_strides = Address.static_strides
 
 (* a thunk for [cst + Σ coeff * !ref] *)
 let emit_affine (terms : (int ref * int) list) cst : unit -> int =
@@ -468,7 +389,7 @@ let emit_affine (terms : (int ref * int) list) cst : unit -> int =
       !off
 
 (* flat offset of an index list against a cell's current tensor; the
-   generic path for dynamically-shaped tensors (and all profiled code) *)
+   generic path for dynamically-shaped tensors *)
 let offset_thunk name (c : cell) (idx : (unit -> int) list) : unit -> int =
   match idx with
   | [] -> fun () -> 0
@@ -552,13 +473,12 @@ let par_legal (body : Stmt.t) =
 type par_instance = {
   pi_ref : int ref;
   pi_body : unit -> unit;
-  pi_shard : Profile.shard option;
   pi_log : rlog;
   pi_checks : int ref; (* guard checks this instance ran since the join *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Fused operands (unguarded, unprofiled code)
+(* Fused operands (unguarded code)
 
    Without flambda every [unit -> float] closure boxes its result, and a
    closure per tree node pays a call per leaf.  The plain executor
@@ -751,17 +671,14 @@ let ofs_thunk = function
 (* ------------------------------------------------------------------ *)
 (* Expression compilation, dtype-directed *)
 
+(* Guarded float expressions: plain thunks (the unguarded path compiles
+   through [compile_fk]). *)
 let rec compile_f (env : cenv) (e : Expr.t) : unit -> float =
   match e with
   | Expr.Binop ((Expr.Floor_div | Expr.Mod), _, _) ->
-    (* integer op in a float context: delegate to compile_i on the same
-       node, which also owns its single counter increment *)
+    (* integer op in a float context *)
     let fi = compile_i env e in
     fun () -> float_of_int (fi ())
-  | _ -> wrap_bump env e (compile_f_node env e)
-
-and compile_f_node (env : cenv) (e : Expr.t) : unit -> float =
-  match e with
   | Expr.Float_const f -> fun () -> f
   | Expr.Int_const n ->
     let f = float_of_int n in
@@ -770,21 +687,10 @@ and compile_f_node (env : cenv) (e : Expr.t) : unit -> float =
   | Expr.Var x ->
     let r = find_int env x in
     fun () -> float_of_int !r
-  | Expr.Load { l_var; l_indices } -> (
+  | Expr.Load { l_var; l_indices } ->
     let c = find_cell env l_var in
-    match env.guard with
-    | Some g ->
-      let off = compile_guarded_load_off env g l_var c l_indices in
-      fun () -> Tensor.unsafe_get_f (cell_tensor l_var c) (off ())
-    | None ->
-      (* profiled (the plain path compiles through [compile_fk]) *)
-      let off = compile_offset env l_var c l_indices in
-      let rd = prof_site env l_var in
-      fun () ->
-        let t = cell_tensor l_var c in
-        let o = off () in
-        (match rd with Some (_, rd, _) -> rd (Tensor.byte_size t) | None -> ());
-        Tensor.unsafe_get_f t o)
+    let off = compile_guarded_load_off env l_var c l_indices in
+    fun () -> Tensor.unsafe_get_f (cell_tensor l_var c) (off ())
   | Expr.Unop (op, a) -> (
     let fa = compile_f env a in
     match op with
@@ -830,11 +736,11 @@ and compile_fk (env : cenv) (e : Expr.t) : fop =
     let c = find_cell env l_var in
     if not (Hashtbl.mem env.cells l_var) then orphan_node l_var c
     else if Types.is_float (dtype_of env l_var) then (
-      match fst (compile_offset_k env l_var c l_indices) with
+      match compile_offset_k env l_var c l_indices with
       | O_run r -> F_cell (c, r)
       | O_fn f -> F_load (c, f))
     else
-      let o = ofs_thunk (fst (compile_offset_k env l_var c l_indices)) in
+      let o = ofs_thunk (compile_offset_k env l_var c l_indices) in
       let d = { v = 0.0 } in
       F_node (d, fun () -> d.v <- float_of_int (Array.unsafe_get c.ia (o ())))
   | Expr.Binop ((Expr.Floor_div | Expr.Mod), _, _) ->
@@ -899,12 +805,11 @@ and orphan_node name c =
   F_node ({ v = 0.0 }, fun () -> ignore (cell_tensor name c))
 
 and compile_i (env : cenv) (e : Expr.t) : unit -> int =
-  if env.fused then compile_i_fused env e
-  else wrap_bump env e (compile_i_node env e)
+  if env.guard = None then compile_i_fused env e else compile_i_node env e
 
 (* Plain-path integers: [unit -> int] closures do not box, so only loads
    (cached buffers) and float casts (through a slot) differ from the
-   instrumented path. *)
+   guarded path. *)
 and compile_i_fused (env : cenv) (e : Expr.t) : unit -> int =
   match e with
   | Expr.Load { l_var; l_indices } -> (
@@ -913,7 +818,7 @@ and compile_i_fused (env : cenv) (e : Expr.t) : unit -> int =
       ignore (cell_tensor l_var c);
       0
     else
-      let o = fst (compile_offset_k env l_var c l_indices) in
+      let o = compile_offset_k env l_var c l_indices in
       match Types.is_float (dtype_of env l_var), o with
       | true, O_run r -> fun () -> int_of_float c.fa.%(!r)
       | true, O_fn f -> fun () -> int_of_float c.fa.%(f ())
@@ -935,24 +840,13 @@ and compile_i_node (env : cenv) (e : Expr.t) : unit -> int =
   | Expr.Var x ->
     let r = find_int env x in
     fun () -> !r
-  | Expr.Load { l_var; l_indices } -> (
+  | Expr.Load { l_var; l_indices } ->
+    (* guarded (the plain path compiles through [compile_i_fused]) *)
     let c = find_cell env l_var in
-    match env.guard with
-    | Some g ->
-      let off = compile_guarded_load_off env g l_var c l_indices in
-      if Types.is_float (dtype_of env l_var) then fun () ->
-        int_of_float (Tensor.unsafe_get_f (cell_tensor l_var c) (off ()))
-      else fun () -> Tensor.unsafe_get_i (cell_tensor l_var c) (off ())
-    | None ->
-      (* profiled (the plain path compiles through [compile_i_fused]) *)
-      let off = compile_offset env l_var c l_indices in
-      let rd = prof_site env l_var in
-      let is_f = Types.is_float (dtype_of env l_var) in
-      fun () ->
-        let t = cell_tensor l_var c in
-        (match rd with Some (_, rd, _) -> rd (Tensor.byte_size t) | None -> ());
-        if is_f then int_of_float (Tensor.unsafe_get_f t (off ()))
-        else Tensor.unsafe_get_i t (off ()))
+    let off = compile_guarded_load_off env l_var c l_indices in
+    if Types.is_float (dtype_of env l_var) then fun () ->
+      int_of_float (Tensor.unsafe_get_f (cell_tensor l_var c) (off ()))
+    else fun () -> Tensor.unsafe_get_i (cell_tensor l_var c) (off ())
   | Expr.Unop (Expr.Neg, a) ->
     let fa = compile_i env a in
     fun () -> -fa ()
@@ -979,9 +873,6 @@ and compile_i_node (env : cenv) (e : Expr.t) : unit -> int =
   | _ -> err "expression %s is not an integer" (Expr.to_string e)
 
 and compile_b (env : cenv) (e : Expr.t) : unit -> bool =
-  wrap_bump env e (compile_b_node env e)
-
-and compile_b_node (env : cenv) (e : Expr.t) : unit -> bool =
   match e with
   | Expr.Bool_const b -> fun () -> b
   | Expr.Unop (Expr.Not, a) ->
@@ -1012,7 +903,7 @@ and compile_b_node (env : cenv) (e : Expr.t) : unit -> bool =
     if is_intish a && is_intish b then
       let fa = compile_i env a and fb = compile_i env b in
       fun () -> icmp op (fa ()) (fb ())
-    else if env.fused then
+    else if env.guard = None then
       let sa, fa = as_node (compile_fk env a) in
       let sb, fb = as_node (compile_fk env b) in
       fun () ->
@@ -1037,29 +928,13 @@ and compile_b_node (env : cenv) (e : Expr.t) : unit -> bool =
 (* Flat-offset compilation.  A compile-time-static shape gets constant
    strides, constant folding through {!Ft_lower.Address}, and
    strength-reduced running offsets for indices affine in an enclosing
-   loop's iterator.  Profiled code shares the same fast path: the plan
-   carries the op classes of every counted node of the replaced index
-   arithmetic, bumped once per offset evaluation — exact on the affine
-   domain, where the interpreter evaluates every node exactly once (see
-   {!Ft_lower.Address}). *)
+   loop's iterator.  Constant offsets are cells nobody advances. *)
 and compile_offset (env : cenv) name (c : cell) (idx : Expr.t list) :
     unit -> int =
-  let o, bumps = compile_offset_k env name c idx in
-  let f = ofs_thunk o in
-  (* Replicate the replaced arithmetic's per-access counts. *)
-  match env.pctr with
-  | Some ctr when Array.length bumps > 0 ->
-    fun () ->
-      Array.iter (Profile.bump_class ctr) bumps;
-      f ()
-  | _ -> f
+  ofs_thunk (compile_offset_k env name c idx)
 
-(* The offset itself, with the op classes of the affine index arithmetic
-   it replaces (empty when the indices still compile to counted
-   thunks).  Constant offsets are cells nobody advances. *)
-and compile_offset_k (env : cenv) name (c : cell) (idx : Expr.t list) :
-    ofs * Profile.opclass array =
-  if idx = [] then (O_run (ref 0), [||])
+and compile_offset_k (env : cenv) name (c : cell) (idx : Expr.t list) : ofs =
+  if idx = [] then O_run (ref 0)
   else
     match Hashtbl.find_opt env.shapes name with
     | Some dims when Array.length dims = List.length idx -> (
@@ -1070,7 +945,6 @@ and compile_offset_k (env : cenv) name (c : cell) (idx : Expr.t list) :
           List.map (fun (v, a) -> (find_int env v, a)) pl.Address.pl_terms
         in
         let cst = pl.Address.pl_const in
-        let bumps = pl.Address.pl_bumps in
         match
           List.find_opt
             (fun ol -> List.exists (fun (r, _) -> r == ol.ol_ref) terms)
@@ -1085,9 +959,9 @@ and compile_offset_k (env : cenv) name (c : cell) (idx : Expr.t list) :
             { tk_cell = cellr; tk_base = emit_affine terms cst;
               tk_coeff = coeff }
             :: ol.ol_trackers;
-          (O_run cellr, bumps)
-        | None when terms = [] -> (O_run (ref cst), bumps)
-        | None -> (O_fn (emit_affine terms cst), bumps))
+          O_run cellr
+        | None when terms = [] -> O_run (ref cst)
+        | None -> O_fn (emit_affine terms cst))
       | None ->
         (* static strides, non-affine indices *)
         let thunks = List.mapi (fun k e -> (compile_i env e, ss.(k))) idx in
@@ -1105,16 +979,16 @@ and compile_offset_k (env : cenv) name (c : cell) (idx : Expr.t list) :
               done;
               !off
         in
-        (O_fn f, [||]))
-    | _ -> (O_fn (offset_thunk name c (List.map (compile_i env) idx)), [||])
+        O_fn f)
+    | _ -> O_fn (offset_thunk name c (List.map (compile_i env) idx))
 
 (* Guarded access compilation.  Decides at compile time whether this
-   site's bounds check is elided — statically proved by {!Boundcheck},
-   or policy [`Elide] — in which case the regular fast offset path
-   (including strength reduction) is kept, or emitted as an explicit
-   per-dimension check.  Checked sites evaluate their subscripts
-   left-to-right exactly like the interpreter, so the first fault (and
-   its diagnostic) is byte-identical across executors. *)
+   site's bounds check is elided — statically proved by {!Boundcheck} —
+   in which case the regular fast offset path (including strength
+   reduction) is kept, or emitted as an explicit per-dimension check.
+   Checked sites evaluate their subscripts left-to-right exactly like
+   the interpreter, so the first fault (and its diagnostic) is
+   byte-identical across executors. *)
 and guard_access (env : cenv) (g : gstate) ~(access : Diag.access) name
     (c : cell) (indices : Expr.t list) =
   let sid, ctx, iters = guard_provenance g in
@@ -1128,8 +1002,8 @@ and guard_access (env : cenv) (g : gstate) ~(access : Diag.access) name
            ~indices)
     | None -> false
   in
-  if proved || g.gc_policy = `Elide then begin
-    if proved then st.gs_elided <- st.gs_elided + 1;
+  if proved then begin
+    st.gs_elided <- st.gs_elided + 1;
     `Fast (compile_offset env name c indices)
   end
   else begin
@@ -1171,37 +1045,25 @@ and guard_access (env : cenv) (g : gstate) ~(access : Diag.access) name
   end
 
 (* Checked flat offset of a guarded load (used by both the float and the
-   integer load paths): subscripts, profiling read record, bounds check,
-   uninit check — the interpreter's exact order. *)
-and compile_guarded_load_off (env : cenv) (g : gstate) name (c : cell)
+   integer load paths): subscripts, bounds check, uninit check — the
+   interpreter's exact order. *)
+and compile_guarded_load_off (env : cenv) name (c : cell)
     (indices : Expr.t list) : unit -> int =
+  let g = Option.get env.guard in
   let acc = guard_access env g ~access:Diag.Acc_load name c indices in
   let unin = guard_uninit_check g name c in
-  let rd =
-    match prof_site env name with
-    | Some (_, rd, _) -> Some rd
-    | None -> None
-  in
   match acc with
   | `Fast off -> (
-    match rd, unin with
-    | None, None -> off
-    | _ ->
+    match unin with
+    | None -> off
+    | Some u ->
       fun () ->
         let o = off () in
-        (match rd with
-         | Some rd -> rd (Tensor.byte_size (cell_tensor name c))
-         | None -> ());
-        (match unin with
-         | Some u -> u o None
-         | None -> ());
+        u o None;
         o)
   | `Checked (eval_idx, check) ->
     fun () ->
       let idx = eval_idx () in
-      (match rd with
-       | Some rd -> rd (Tensor.byte_size (cell_tensor name c))
-       | None -> ());
       let o = check idx in
       (match unin with
        | Some u -> u o (Some idx)
@@ -1236,59 +1098,28 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
   (match env.guard with
    | Some g -> g.gc_stmt <- Some s
    | None -> ());
-  env.pctr <-
-    (match s.Stmt.node with
-     (* pure Evals are elided below; don't count them (the interpreter
-        matches this so observed counters stay comparable) *)
-     | Stmt.Eval _ -> None
-     | _ -> sink_ctr env s.Stmt.sid);
   match s.Stmt.node with
   | Stmt.Nop -> fun () -> ()
   | Stmt.Seq ss ->
     let fs = Array.of_list (List.map (compile_stmt env) ss) in
     fun () -> Array.iter (fun f -> f ()) fs
-  | Stmt.Store { s_var; s_indices; s_value }
-    when env.guard <> None ->
+  | Stmt.Store { s_var; s_indices; s_value } when env.guard <> None ->
     compile_guarded_store env (Option.get env.guard) s_var s_indices s_value
-  | Stmt.Store { s_var; s_indices; s_value } when env.fused ->
+  | Stmt.Store { s_var; s_indices; s_value } ->
     let c = find_cell env s_var in
     if not (Hashtbl.mem env.cells s_var) then fun () ->
       ignore (cell_tensor s_var c)
     else
-      let o = fst (compile_offset_k env s_var c s_indices) in
+      let o = compile_offset_k env s_var c s_indices in
       if Types.is_float (dtype_of env s_var) then
         fuse_store c o (compile_fk env s_value)
       else
         let fv = compile_i env s_value in
         let o = ofs_thunk o in
         fun () -> Array.unsafe_set c.ia (o ()) (fv ())
-  | Stmt.Store { s_var; s_indices; s_value } ->
-    (* profiled *)
-    let c = find_cell env s_var in
-    let wr = prof_site env s_var in
-    let off = compile_offset env s_var c s_indices in
-    let write t =
-      match wr with Some (_, _, wr) -> wr (Tensor.byte_size t) | None -> ()
-    in
-    if Types.is_float (dtype_of env s_var) then
-      let fv = compile_f env s_value in
-      fun () ->
-        let t = cell_tensor s_var c in
-        let o = off () in
-        let v = fv () in
-        write t;
-        Tensor.unsafe_set_f t o v
-    else
-      let fv = compile_i env s_value in
-      fun () ->
-        let t = cell_tensor s_var c in
-        let o = off () in
-        let v = fv () in
-        write t;
-        Tensor.set_flat_i t o v
   | Stmt.Reduce_to r when env.guard <> None ->
     compile_guarded_reduce env (Option.get env.guard) r
-  | Stmt.Reduce_to { r_var; r_indices; r_op; r_value; r_atomic } -> (
+  | Stmt.Reduce_to { r_var; r_indices; r_op; r_value; _ } -> (
     let c = find_cell env r_var in
     let deferred =
       match env.region with
@@ -1303,60 +1134,29 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
         Some (rg.rg_log, site_id)
       | _ -> None
     in
-    if env.fused then begin
-      let o = fst (compile_offset_k env r_var c r_indices) in
-      let v = compile_fk env r_value in
-      match deferred with
-      | _ when not (Hashtbl.mem env.cells r_var) ->
-        fun () -> ignore (cell_tensor r_var c)
-      | Some (lg, site_id) ->
-        let s, f = as_node v in
-        let o = ofs_thunk o in
-        fun () ->
-          let k = o () in
-          f ();
-          log_push lg site_id k s.v
-      | None when Types.is_float (dtype_of env r_var) -> fuse_reduce r_op c o v
-      | None ->
-        (* integer target: combine in float, store truncated, exactly as
-           the tensor accessors do *)
-        let s, f = as_node v in
-        let o = ofs_thunk o in
-        fun () ->
-          let k = o () in
-          f ();
-          Array.unsafe_set c.ia k
-            (int_of_float (combine r_op (float_of_int c.ia.(k)) s.v))
-    end
-    else
-      (* profiled *)
-      let site = prof_site env r_var in
-      let off = compile_offset env r_var c r_indices in
-      let fv = compile_f env r_value in
-      let count t =
-        match site with
-        | Some (ctr, rd, wr) ->
-          let total = Tensor.byte_size t in
-          rd total;
-          Profile.bump_reduce ~atomic:r_atomic ctr r_op;
-          wr total
-        | None -> ()
-      in
-      match deferred with
-      | Some (lg, site_id) ->
-        fun () ->
-          let t = cell_tensor r_var c in
-          let o = off () in
-          let v = fv () in
-          count t;
-          log_push lg site_id o v
-      | None ->
-        fun () ->
-          let t = cell_tensor r_var c in
-          let o = off () in
-          let v = fv () in
-          count t;
-          Tensor.unsafe_set_f t o (combine r_op (Tensor.unsafe_get_f t o) v))
+    let o = compile_offset_k env r_var c r_indices in
+    let v = compile_fk env r_value in
+    match deferred with
+    | _ when not (Hashtbl.mem env.cells r_var) ->
+      fun () -> ignore (cell_tensor r_var c)
+    | Some (lg, site_id) ->
+      let s, f = as_node v in
+      let o = ofs_thunk o in
+      fun () ->
+        let k = o () in
+        f ();
+        log_push lg site_id k s.v
+    | None when Types.is_float (dtype_of env r_var) -> fuse_reduce r_op c o v
+    | None ->
+      (* integer target: combine in float, store truncated, exactly as
+         the tensor accessors do *)
+      let s, f = as_node v in
+      let o = ofs_thunk o in
+      fun () ->
+        let k = o () in
+        f ();
+        Array.unsafe_set c.ia k
+          (int_of_float (combine r_op (float_of_int c.ia.(k)) s.v)))
   | Stmt.Var_def d -> (
     let name = d.Stmt.d_name in
     let dims = List.map (compile_i env) d.Stmt.d_shape in
@@ -1364,7 +1164,6 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
     let c = new_cell () in
     Hashtbl.add env.cells name c;
     Hashtbl.add env.dtypes name d.Stmt.d_dtype;
-    Hashtbl.add env.mtypes name d.Stmt.d_mtype;
     (match sshape with
      | Some dims -> Hashtbl.add env.shapes name dims
      | None -> ());
@@ -1389,12 +1188,11 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
     (match sshape with
      | Some _ -> Hashtbl.remove env.shapes name
      | None -> ());
-    Hashtbl.remove env.mtypes name;
     Hashtbl.remove env.dtypes name;
     Hashtbl.remove env.cells name;
     let dtype = d.Stmt.d_dtype in
     match sshape with
-    | Some sdims when env.fused ->
+    | Some sdims when env.guard = None ->
       (* Recycled buffer: created on first entry, then re-armed on every
          later one — charged to the installed budget and zeroed exactly
          as [Tensor.create] would.  It belongs to this compiled artifact,
@@ -1423,25 +1221,13 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
         | Some bref ->
           fun t -> bref := Bytes.make (max 1 (Tensor.numel t)) '\000'
       in
-      match sink_alloc env with
-      | None ->
-        fun () ->
-          let t = make () in
-          bind c (Some t);
-          init_shadow t;
-          body ();
-          bind c None;
-          Tensor.arena_free t
-      | Some (alloc, release) ->
-        fun () ->
-          let t = make () in
-          bind c (Some t);
-          init_shadow t;
-          alloc (Tensor.byte_size t);
-          body ();
-          release (Tensor.byte_size t);
-          bind c None;
-          Tensor.arena_free t))
+      fun () ->
+        let t = make () in
+        bind c (Some t);
+        init_shadow t;
+        body ();
+        bind c None;
+        Tensor.arena_free t))
   | Stmt.For f ->
     let pool_scope =
       match f.Stmt.f_property.Stmt.parallel with
@@ -1510,15 +1296,15 @@ and compile_stmt_node (env : cenv) (s : Stmt.t) : unit -> unit =
 
 (* Microkernel node: the blockization pass asserted the body matches a
    hand-written flat kernel.  The tensorized closure is only legal when
-   nothing needs the scalar loop nest's per-access effects: profiling
-   counts per access, guards fault per access, and parallel regions
-   replay stores from logs — in all three cases fall back to compiling
-   the body (semantics are defined by the body, so this is always
-   sound).  The actual kernel emission lives lower in the file, next to
-   compile_stmt's other helpers; see [emit_microkernel]. *)
+   nothing needs the scalar loop nest's per-access effects: guards fault
+   per access and parallel regions replay stores from logs — in both
+   cases fall back to compiling the body (semantics are defined by the
+   body, so this is always sound).  The actual kernel emission lives
+   lower in the file, next to compile_stmt's other helpers; see
+   [emit_microkernel]. *)
 and compile_microkernel (env : cenv) (s : Stmt.t) (body : Stmt.t) :
     unit -> unit =
-  if env.prof <> None || env.guard <> None || env.region <> None then
+  if env.guard <> None || env.region <> None then
     compile_stmt env body
   else
     match emit_microkernel env s body with
@@ -1602,17 +1388,12 @@ and emit_microkernel (env : cenv) (_s : Stmt.t) (body : Stmt.t) :
            if dd == a then scalar ()
            else Kernels.reduce ~kdim ~d:dd ~db:(df ()) ~a ~ab:(af ()) ~as_:sa.(0)))
 
-(* Guarded store: subscripts, value, profiling write record, bounds
-   check, NaN/Inf poison check (float dtypes), shadow mark, store — the
-   interpreter's exact order, so the first fault is byte-identical. *)
+(* Guarded store: subscripts, value, bounds check, NaN/Inf poison check
+   (float dtypes), shadow mark, store — the interpreter's exact order, so
+   the first fault is byte-identical. *)
 and compile_guarded_store (env : cenv) (g : gstate) s_var s_indices s_value :
     unit -> unit =
   let c = find_cell env s_var in
-  let wr =
-    match prof_site env s_var with
-    | Some (_, _, wr) -> Some wr
-    | None -> None
-  in
   let acc = guard_access env g ~access:Diag.Acc_store s_var c s_indices in
   let mark = guard_mark_shadow g s_var in
   let nan = guard_nonfinite g ~access:Diag.Acc_store s_var in
@@ -1623,10 +1404,10 @@ and compile_guarded_store (env : cenv) (g : gstate) s_var s_indices s_value :
     let fv = compile_f env s_value in
     match acc with
     | `Fast off -> (
-      match wr, mark with
-      | None, None ->
-        (* proved site, unprofiled, non-local target: the common hot
-           path keeps only the poison check on top of the fast offset *)
+      match mark with
+      | None ->
+        (* proved site, non-local target: the common hot path keeps only
+           the poison check on top of the fast offset *)
         fun () ->
           let t = cell_tensor s_var c in
           let o = off () in
@@ -1634,27 +1415,19 @@ and compile_guarded_store (env : cenv) (g : gstate) s_var s_indices s_value :
           if nan_check && Float.is_nan v then
             nan (index_of_offset t o) v;
           Tensor.unsafe_set_f t o v
-      | _ ->
+      | Some m ->
         fun () ->
           let t = cell_tensor s_var c in
           let o = off () in
           let v = fv () in
-          (match wr with
-           | Some wr -> wr (Tensor.byte_size t)
-           | None -> ());
           if nan_check && Float.is_nan v then
             nan (index_of_offset t o) v;
-          (match mark with
-           | Some m -> m o
-           | None -> ());
+          m o;
           Tensor.unsafe_set_f t o v)
     | `Checked (eval_idx, check) ->
       fun () ->
         let idx = eval_idx () in
         let v = fv () in
-        (match wr with
-         | Some wr -> wr (Tensor.byte_size (cell_tensor s_var c))
-         | None -> ());
         let o = check idx in
         if nan_check && Float.is_nan v then nan idx v;
         (match mark with
@@ -1669,9 +1442,6 @@ and compile_guarded_store (env : cenv) (g : gstate) s_var s_indices s_value :
         let t = cell_tensor s_var c in
         let o = off () in
         let v = fv () in
-        (match wr with
-         | Some wr -> wr (Tensor.byte_size t)
-         | None -> ());
         (match mark with
          | Some m -> m o
          | None -> ());
@@ -1680,25 +1450,21 @@ and compile_guarded_store (env : cenv) (g : gstate) s_var s_indices s_value :
       fun () ->
         let idx = eval_idx () in
         let v = fv () in
-        (match wr with
-         | Some wr -> wr (Tensor.byte_size (cell_tensor s_var c))
-         | None -> ());
         let o = check idx in
         (match mark with
          | Some m -> m o
          | None -> ());
         Tensor.set_flat_i (cell_tensor s_var c) o v
 
-(* Guarded reduce: subscripts, value, profiling records, bounds check,
-   NaN/Inf poison check (float dtypes, on the operand), uninit check
-   (a reduce reads its target), shadow mark, combine.  Inside a parallel
+(* Guarded reduce: subscripts, value, bounds check, NaN/Inf poison
+   check (float dtypes, on the operand), uninit check (a reduce reads
+   its target), shadow mark, combine.  Inside a parallel
    region with a non-local target, the checks run at event-push time and
    the combine is replayed unguarded by the master. *)
 and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
     unit -> unit =
-  let { Stmt.r_var; r_indices; r_op; r_value; r_atomic } = r in
+  let { Stmt.r_var; r_indices; r_op; r_value; _ } = r in
   let c = find_cell env r_var in
-  let site = prof_site env r_var in
   let acc = guard_access env g ~access:Diag.Acc_reduce r_var c r_indices in
   let unin = guard_uninit_check g r_var c in
   let mark = guard_mark_shadow g r_var in
@@ -1721,17 +1487,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
     | Some m -> m o
     | None -> ()
   in
-  let prof_bump =
-    match site with
-    | None -> None
-    | Some (ctr, rd, wr) ->
-      let rop = r_op and atomic = r_atomic in
-      Some
-        (fun total ->
-          rd total;
-          Profile.bump_reduce ~atomic ctr rop;
-          wr total)
-  in
   match env.region with
   | Some rg when not (Hashtbl.mem rg.rg_locals r_var) -> (
     let site_id = rg.rg_next in
@@ -1747,9 +1502,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
         let t = cell_tensor r_var c in
         let o = off () in
         let v = fv () in
-        (match prof_bump with
-         | Some pb -> pb (Tensor.byte_size t)
-         | None -> ());
         checks t o None v;
         log_push lg site_id o v
     | `Checked (eval_idx, check) ->
@@ -1757,9 +1509,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
         let idx = eval_idx () in
         let v = fv () in
         let t = cell_tensor r_var c in
-        (match prof_bump with
-         | Some pb -> pb (Tensor.byte_size t)
-         | None -> ());
         let o = check idx in
         checks t o (Some idx) v;
         log_push lg site_id o v)
@@ -1770,9 +1519,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
         let t = cell_tensor r_var c in
         let o = off () in
         let v = fv () in
-        (match prof_bump with
-         | Some pb -> pb (Tensor.byte_size t)
-         | None -> ());
         checks t o None v;
         Tensor.unsafe_set_f t o (combine r_op (Tensor.unsafe_get_f t o) v)
     | `Checked (eval_idx, check) ->
@@ -1780,9 +1526,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
         let idx = eval_idx () in
         let v = fv () in
         let t = cell_tensor r_var c in
-        (match prof_bump with
-         | Some pb -> pb (Tensor.byte_size t)
-         | None -> ());
         let o = check idx in
         checks t o (Some idx) v;
         Tensor.unsafe_set_f t o (combine r_op (Tensor.unsafe_get_f t o) v))
@@ -1790,7 +1533,6 @@ and compile_guarded_reduce (env : cenv) (g : gstate) (r : Stmt.reduce) :
 and compile_seq_for (env : cenv) (f : Stmt.for_loop) : unit -> unit =
   let poll = env.sup_poll in
   env.sup_poll <- false;
-  let myc = env.pctr in
   let fb = compile_i env f.Stmt.f_begin in
   let fe = compile_i env f.Stmt.f_end in
   let fs = compile_i env f.Stmt.f_step in
@@ -1815,118 +1557,70 @@ and compile_seq_for (env : cenv) (f : Stmt.for_loop) : unit -> unit =
         Ft_machine.Machine.poll ();
         body ()
   in
-  match myc with
-  | Some ctr -> (
-    (* Profiled loops advance running-offset trackers too — the shared
-       strength-reduced addressing registers them on every path. *)
-    match ol.ol_trackers with
-    | [] ->
-      fun () ->
-        let b = fb () in
-        let e = fe () and st = fs () in
-        ctr.Profile.entries <- ctr.Profile.entries + 1;
-        let i = ref b in
+  match ol.ol_trackers with
+  | [] ->
+    fun () ->
+      let e = fe () and st = fs () in
+      let i = ref (fb ()) in
+      while !i < e do
+        r := !i;
+        body ();
+        i := !i + st
+      done
+  | [ tk ] ->
+    fun () ->
+      let e = fe () and st = fs () in
+      let i = ref (fb ()) in
+      if !i < e then begin
+        r := !i;
+        tk.tk_cell := tk.tk_base ();
+        body ();
+        i := !i + st;
+        let inc = tk.tk_coeff * st in
         while !i < e do
-          ctr.Profile.trips <- ctr.Profile.trips + 1;
           r := !i;
+          tk.tk_cell := !(tk.tk_cell) + inc;
           body ();
           i := !i + st
         done
-    | tks ->
-      let tks = Array.of_list tks in
-      let n = Array.length tks in
-      fun () ->
-        let b = fb () in
-        let e = fe () and st = fs () in
-        ctr.Profile.entries <- ctr.Profile.entries + 1;
-        let i = ref b in
-        if !i < e then begin
-          ctr.Profile.trips <- ctr.Profile.trips + 1;
+      end
+  | tks ->
+    let tks = Array.of_list tks in
+    let n = Array.length tks in
+    fun () ->
+      let e = fe () and st = fs () in
+      let i = ref (fb ()) in
+      if !i < e then begin
+        r := !i;
+        for k = 0 to n - 1 do
+          let tk = tks.(k) in
+          tk.tk_cell := tk.tk_base ()
+        done;
+        body ();
+        i := !i + st;
+        while !i < e do
           r := !i;
           for k = 0 to n - 1 do
             let tk = tks.(k) in
-            tk.tk_cell := tk.tk_base ()
+            tk.tk_cell := !(tk.tk_cell) + (tk.tk_coeff * st)
           done;
-          body ();
-          i := !i + st;
-          while !i < e do
-            ctr.Profile.trips <- ctr.Profile.trips + 1;
-            r := !i;
-            for k = 0 to n - 1 do
-              let tk = tks.(k) in
-              tk.tk_cell := !(tk.tk_cell) + (tk.tk_coeff * st)
-            done;
-            body ();
-            i := !i + st
-          done
-        end)
-  | None -> (
-    match ol.ol_trackers with
-    | [] ->
-      fun () ->
-        let e = fe () and st = fs () in
-        let i = ref (fb ()) in
-        while !i < e do
-          r := !i;
           body ();
           i := !i + st
         done
-    | [ tk ] ->
-      fun () ->
-        let e = fe () and st = fs () in
-        let i = ref (fb ()) in
-        if !i < e then begin
-          r := !i;
-          tk.tk_cell := tk.tk_base ();
-          body ();
-          i := !i + st;
-          let inc = tk.tk_coeff * st in
-          while !i < e do
-            r := !i;
-            tk.tk_cell := !(tk.tk_cell) + inc;
-            body ();
-            i := !i + st
-          done
-        end
-    | tks ->
-      let tks = Array.of_list tks in
-      let n = Array.length tks in
-      fun () ->
-        let e = fe () and st = fs () in
-        let i = ref (fb ()) in
-        if !i < e then begin
-          r := !i;
-          for k = 0 to n - 1 do
-            let tk = tks.(k) in
-            tk.tk_cell := tk.tk_base ()
-          done;
-          body ();
-          i := !i + st;
-          while !i < e do
-            r := !i;
-            for k = 0 to n - 1 do
-              let tk = tks.(k) in
-              tk.tk_cell := !(tk.tk_cell) + (tk.tk_coeff * st)
-            done;
-            body ();
-            i := !i + st
-          done
-        end)
+      end
 
 (* A parallel loop compiles its body [Exec_par.max_domains] times — one
    instance per potential worker, each with a private iterator cell,
-   private locals, private event log and (when profiling) private
-   counter shard.  At run time the iteration space splits into one
-   contiguous chunk per configured domain; chunk 0 runs on the master.
-   After the join the master replays the deferred-reduction logs in
-   chunk order (= sequential iteration order) and merges the shards. *)
+   private locals and a private event log.  At run time the iteration
+   space splits into one contiguous chunk per configured domain; chunk 0
+   runs on the master.  After the join the master replays the
+   deferred-reduction logs in chunk order (= sequential iteration
+   order). *)
 and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
     unit -> unit =
   let poll = env.sup_poll in
   env.sup_poll <- false;
   let supd = env.sup in
-  let myc = env.pctr in
-  let prof = env.prof in
   let fb = compile_i env f.Stmt.f_begin in
   let fe = compile_i env f.Stmt.f_end in
   let fs = compile_i env f.Stmt.f_step in
@@ -1935,15 +1629,10 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
   let make_instance k =
     let r = ref 0 in
     let lg = make_rlog () in
-    let shard =
-      match prof with Some _ -> Some (Profile.make_shard ()) | None -> None
-    in
     let rg =
       { rg_locals = Hashtbl.create 8; rg_sites = sites_acc;
         rg_first = (k = 0); rg_next = 0; rg_log = lg }
     in
-    let saved_sink = env.psink in
-    (match shard with Some sh -> env.psink <- P_shard sh | None -> ());
     let checks = ref 0 in
     (match env.guard with Some g -> g.gc_counter <- Some checks | None -> ());
     env.in_par <- true;
@@ -1968,10 +1657,8 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
     env.loops <- saved_loops;
     env.region <- None;
     env.in_par <- false;
-    env.psink <- saved_sink;
     (match env.guard with Some g -> g.gc_counter <- None | None -> ());
-    { pi_ref = r; pi_body = body; pi_shard = shard; pi_log = lg;
-      pi_checks = checks }
+    { pi_ref = r; pi_body = body; pi_log = lg; pi_checks = checks }
   in
   let rec build k acc =
     if k = k_inst then Array.of_list (List.rev acc)
@@ -1997,16 +1684,6 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
       lg.lg_len <- 0
     done
   in
-  let merge chunks =
-    match prof with
-    | None -> ()
-    | Some p ->
-      for ci = 0 to chunks - 1 do
-        match instances.(ci).pi_shard with
-        | Some sh -> Profile.merge_shard p sh
-        | None -> ()
-      done
-  in
   (* the workers' private guard-check counts, summed on the master after
      the join (whether or not a chunk faulted), so the total is exact *)
   let count_checks =
@@ -2024,9 +1701,6 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
   fun () ->
     let b = fb () in
     let e = fe () and st = fs () in
-    (match myc with
-     | Some c -> c.Profile.entries <- c.Profile.entries + 1
-     | None -> ());
     if st <= 0 then begin
       (* degenerate step: preserve sequential semantics exactly *)
       let inst = instances.(0) in
@@ -2035,9 +1709,6 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
       (try
          while !i < e do
            if poll then Ft_machine.Machine.poll ();
-           (match myc with
-            | Some c -> c.Profile.trips <- c.Profile.trips + 1
-            | None -> ());
            inst.pi_ref := !i;
            inst.pi_body ();
            i := !i + st
@@ -2046,15 +1717,11 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
          count_checks ();
          raise exn);
       count_checks ();
-      replay 1;
-      merge 1
+      replay 1
     end
     else
       let trip = if e <= b then 0 else 1 + ((e - b - 1) / st) in
       if trip > 0 then begin
-        (match myc with
-         | Some c -> c.Profile.trips <- c.Profile.trips + trip
-         | None -> ());
         let chunks = min (min trip (Exec_par.num_domains ())) k_inst in
         let q = trip / chunks and rem = trip mod chunks in
         (match Exec_par.run_chunks chunks (fun ci ->
@@ -2084,74 +1751,8 @@ and compile_par_for ?(defer = true) (env : cenv) (f : Stmt.for_loop) :
          | exception exn ->
            count_checks ();
            raise exn);
-        replay chunks;
-        merge chunks
+        replay chunks
       end
-
-(* Host-level walk used only when profiling: mirrors the cost model's
-   kernel segmentation, wrapping every top-level non-Var_def statement in
-   enter/exit_kernel. *)
-let rec compile_host (p : Profile.t) (env : cenv) (s : Stmt.t) : unit -> unit =
-  match s.Stmt.node with
-  | Stmt.Nop -> fun () -> ()
-  | Stmt.Seq ss ->
-    let fs = Array.of_list (List.map (compile_host p env) ss) in
-    fun () -> Array.iter (fun f -> f ()) fs
-  | Stmt.Var_def d ->
-    env.pctr <- Some (Profile.ctr p s.Stmt.sid);
-    let name = d.Stmt.d_name in
-    let dims = List.map (compile_i env) d.Stmt.d_shape in
-    let c = new_cell () in
-    Hashtbl.add env.cells name c;
-    Hashtbl.add env.dtypes name d.Stmt.d_dtype;
-    Hashtbl.add env.mtypes name d.Stmt.d_mtype;
-    let shadow =
-      match env.guard with
-      | Some g ->
-        let bref = ref Bytes.empty in
-        Hashtbl.add g.gc_shadows name bref;
-        Some bref
-      | None -> None
-    in
-    let body = compile_host p env d.Stmt.d_body in
-    (match shadow, env.guard with
-     | Some _, Some g -> Hashtbl.remove g.gc_shadows name
-     | _ -> ());
-    Hashtbl.remove env.mtypes name;
-    Hashtbl.remove env.dtypes name;
-    Hashtbl.remove env.cells name;
-    let dtype = d.Stmt.d_dtype in
-    fun () ->
-      let t =
-        Tensor.create dtype (Array.of_list (List.map (fun f -> f ()) dims))
-      in
-      bind c (Some t);
-      (match shadow with
-       | Some bref -> bref := Bytes.make (max 1 (Tensor.numel t)) '\000'
-       | None -> ());
-      Profile.alloc p (Tensor.byte_size t);
-      body ();
-      Profile.release p (Tensor.byte_size t);
-      bind c None;
-      Tensor.arena_free t
-  | _ ->
-    let root = s in
-    if env.sup then
-      env.sup_poll <-
-        (match s.Stmt.node with Stmt.For _ -> true | _ -> false);
-    let f = compile_stmt env s in
-    env.sup_poll <- false;
-    if env.sup then
-      fun () ->
-        Ft_machine.Machine.on_kernel ();
-        Profile.enter_kernel p root;
-        f ();
-        Profile.exit_kernel p
-    else
-      fun () ->
-        Profile.enter_kernel p root;
-        f ();
-        Profile.exit_kernel p
 
 (* ------------------------------------------------------------------ *)
 
@@ -2165,95 +1766,60 @@ type compiled = {
 
 (** Compile a function once; the result can be run many times with
     different argument tensors (bound by parameter name).  With
-    [?profile], the emitted closures count into the given profile on
-    every run; with [~parallel:true], annotated loops run on the
-    {!Exec_par} domain pool, gated by the static race verifier
-    ({!Ft_analyze.Race}): [Safe] loops run parallel with direct reduce
-    updates, [Safe_with_atomics] loops run parallel through the
-    deferred-reduction log, and [Racy] loops follow [on_race] —
-    [`Fallback] (default) compiles them sequentially and reports the
-    reason through {!race_logger}, [`Raise] raises {!Exec_error} at
-    compile time.
+    [~parallel:true], annotated loops run on the {!Exec_par} domain
+    pool, gated by the static race verifier ({!Ft_analyze.Race}): [Safe]
+    loops run parallel with direct reduce updates, [Safe_with_atomics]
+    loops run parallel through the deferred-reduction log, and [Racy]
+    loops compile sequentially with the reason reported through
+    {!race_logger}.
 
     With [~guard:true], every access is guarded as in
     {!Interp.run_func}: accesses the static prover
     ({!Ft_analyze.Boundcheck}) certifies in-bounds keep the unguarded
     fast path (no runtime bounds check, strength reduction intact);
-    unproved sites follow [on_unproved] — [`Check] (default) emits a
-    runtime bounds check, [`Elide] keeps the fast path anyway (trust
-    the program), [`Raise] refuses to compile, raising {!Exec_error}
-    listing every unproved site.  Uninitialized-read and NaN/Inf
-    poison checks are always on under guard.  Faults raise
+    unproved sites get a runtime bounds check.  Uninitialized-read and
+    NaN/Inf poison checks are always on under guard.  Faults raise
     {!Ft_ir.Diag.Diag_error} with the same rendering as the
     interpreter's. *)
-let compile ?profile ?(parallel = false) ?(on_race = `Fallback)
-    ?(guard = false) ?(on_unproved = `Check) ?(hooks = false)
+let compile ?(parallel = false) ?(guard = false) ?(hooks = false)
     (fn : Stmt.func) : compiled =
-  (* IR-to-IR lowering before closure compilation.  Profiled
-     compilation keeps the original tree (the pipeline legitimately
-     changes op counts — e.g. hoisted guards — and observed counters
-     must stay comparable to the interpreter on the same tree), and
-     guarded compilation keeps the tree the bounds prover certified;
-     both still share the strength-reduced addressing below. *)
+  (* IR-to-IR lowering before closure compilation.  Guarded compilation
+     keeps the tree the bounds prover certified; it still shares the
+     strength-reduced addressing below. *)
   let fn =
-    if profile = None && not guard && Ft_lower.Pass.enabled () then
-      Ft_lower.Pass.lower fn
+    if (not guard) && Ft_lower.Pass.enabled () then Ft_lower.Pass.lower fn
     else fn
   in
   let verdicts = Hashtbl.create 8 in
-  if parallel then begin
-    let reports = Race.check_func fn in
+  if parallel then
     List.iter
       (fun (r : Race.loop_report) ->
         Hashtbl.replace verdicts r.Race.lr_sid r.Race.lr_verdict)
-      reports;
-    match on_race with
-    | `Raise when Race.has_racy reports ->
-      err "race check failed for %s:\n%s" fn.Stmt.fn_name
-        (Race.func_report fn)
-    | _ -> ()
-  end;
+      (Race.check_func fn);
   let gstate =
     if not guard then None
-    else begin
-      let sites = Boundcheck.check_func fn in
-      (match on_unproved with
-       | `Raise ->
-         let bad = Boundcheck.unproved sites in
-         if bad <> [] then
-           err "bounds check failed for %s: %d unproved access site(s):\n%s"
-             fn.Stmt.fn_name (List.length bad)
-             (String.concat "\n" (List.map Boundcheck.site_to_string bad))
-       | `Check | `Elide -> ());
+    else
       Some
         { gc_fn = fn.Stmt.fn_name;
-          gc_proved = Boundcheck.proved_keys sites;
-          gc_policy = on_unproved;
+          gc_proved = Boundcheck.proved_keys (Boundcheck.check_func fn);
           gc_shadows = Hashtbl.create 8;
           gc_iters = [];
           gc_stmt = None;
           gc_counter = None;
           gc_stats =
             { gs_sites = 0; gs_checked = 0; gs_elided = 0; gs_checks = 0 } }
-    end
   in
   let env =
     { cells = Hashtbl.create 32; orphans = Hashtbl.create 8;
       ints = Hashtbl.create 32; gints = Hashtbl.create 16;
-      dtypes = Hashtbl.create 32; mtypes = Hashtbl.create 32;
-      shapes = Hashtbl.create 32; prof = profile;
-      psink = (match profile with Some p -> P_direct p | None -> P_off);
-      pctr = None; par = parallel; verdicts; in_par = false; region = None;
-      loops = []; guard = gstate; fused = profile = None && not guard;
-      sup = hooks;
-      (* under profiling, compile_host owns the kernel segmentation *)
-      sup_host = hooks && profile = None; sup_poll = false }
+      dtypes = Hashtbl.create 32; shapes = Hashtbl.create 32;
+      par = parallel; verdicts; in_par = false; region = None; loops = [];
+      guard = gstate; sup = hooks; sup_host = hooks; sup_poll = false }
   in
   List.iter
     (fun (p : Stmt.param) ->
       Hashtbl.add env.cells p.Stmt.p_name (new_cell ());
       Hashtbl.add env.dtypes p.Stmt.p_name p.Stmt.p_dtype;
-      Hashtbl.add env.mtypes p.Stmt.p_name p.Stmt.p_mtype;
       match p.Stmt.p_shape with
       | Stmt.Fixed dims -> (
         match static_shape dims with
@@ -2261,11 +1827,7 @@ let compile ?profile ?(parallel = false) ?(on_race = `Fallback)
         | None -> ())
       | Stmt.Any_dim -> ())
     fn.Stmt.fn_params;
-  let body =
-    match profile with
-    | None -> compile_stmt env fn.Stmt.fn_body
-    | Some p -> compile_host p env fn.Stmt.fn_body
-  in
+  let body = compile_stmt env fn.Stmt.fn_body in
   (* entry errors render through Diag so both executors emit
      byte-identical messages (see Interp.run_func under guard) *)
   let entry_err d = raise (Exec_error (Diag.to_string d)) in
@@ -2311,26 +1873,12 @@ let compile ?profile ?(parallel = false) ?(on_race = `Fallback)
            | Some c -> bind c (Some t)
            | None -> ()))
       fn.Stmt.fn_params;
-    match profile with
-    | None -> body ()
-    | Some p ->
-      let base =
-        List.fold_left
-          (fun acc (pa : Stmt.param) ->
-            match List.assoc_opt pa.Stmt.p_name args with
-            | Some t -> acc + Tensor.byte_size t
-            | None -> acc)
-          0 fn.Stmt.fn_params
-      in
-      Profile.alloc p base;
-      body ();
-      Profile.release p base
+    body ()
   in
   { cd_fn = fn; cd_run = run;
     cd_guard = Option.map (fun g -> g.gc_stats) gstate }
 
 (** One-shot convenience mirroring {!Interp.run_func}. *)
-let run_func ?(sizes = []) ?profile ?parallel ?on_race ?guard ?on_unproved
-    ?hooks (fn : Stmt.func) (args : (string * Tensor.t) list) : unit =
-  (compile ?profile ?parallel ?on_race ?guard ?on_unproved ?hooks fn).cd_run
-    args sizes
+let run_func ?(sizes = []) ?parallel ?guard ?hooks (fn : Stmt.func)
+    (args : (string * Tensor.t) list) : unit =
+  (compile ?parallel ?guard ?hooks fn).cd_run args sizes

@@ -2,10 +2,16 @@
 
     Where {!Interp} walks the AST on every execution, this backend
     compiles a function once into a tree of OCaml closures — names
-    resolved lexically to mutable cells, expressions to [unit -> float] /
-    [unit -> int] thunks with dtypes settled statically — and then runs
-    the closures.  It plays the role gcc/nvcc play in the paper's
+    resolved lexically to mutable cells, float expressions fused into
+    one closure per operator node, dtypes settled statically — and then
+    runs the closures.  It plays the role gcc/nvcc play in the paper's
     pipeline for this repository's in-process execution.
+
+    There are two closure paths: the plain (fused) path, which runs the
+    {!Ft_lower.Pass}-lowered tree, and the guarded path ([~guard:true]).
+    Execution profiles come from {!Interp} alone: to observe the code
+    that is served, profile [(compile fn).cd_fn], the tree this module
+    actually compiled.
 
     Two execution-speed layers sit on top of the plain closure walk:
     compile-time access optimization (constant strides for static
@@ -18,8 +24,8 @@ open Ft_runtime
 
 exception Exec_error of string
 
-(** Where [`Fallback]-policy demotion notices go: one line per parallel
-    loop compiled sequentially, with the reason (default: stderr).
+(** Where demotion notices go: one line per parallel loop compiled
+    sequentially, with the reason (default: stderr).
     Tests may redirect or silence it. *)
 val race_logger : (string -> unit) ref
 
@@ -52,6 +58,8 @@ val guard_checks_since : guard_stats -> guard_snapshot -> int
 
 type compiled = {
   cd_fn : Stmt.func;
+      (** The tree the closures were compiled from: the lowered function
+          unless compiled with [~guard:true] or [FT_LOWER=0]. *)
   cd_run : (string * Tensor.t) list -> (string * int) list -> unit;
       (** [cd_run args sizes] binds the parameters and executes once.
           Every [sizes] entry must name a free size variable of the
@@ -75,34 +83,20 @@ type compiled = {
 
 (** Compile once; run many times with different argument tensors.
 
-    [profile] bakes observed-counter collection into the emitted
-    closures: every executed operation, tensor access, loop trip and
-    host-level kernel is counted into the given {!Ft_profile.Profile.t}
-    on every run, using the same counting conventions as {!Interp} (see
-    {!Ft_profile.Profile} for the shared rules).  Profiled closures
-    share the strength-reduced affine addressing of the unprofiled path
-    (the replaced index arithmetic's op counts are replicated exactly,
-    so observed counters still match {!Interp}), but skip the IR
-    lowering pipeline: its rewrites legitimately change op counts, and
-    profiles must stay comparable to the interpreter on the same tree.
-
     [parallel] (default [false]) honors the scheduler's parallel
     annotations: the outermost loop marked [Openmp] / [Cuda_block_*]
     executes its iteration chunks on the {!Exec_par} domain pool, with
     per-worker compiled body instances and deferred reductions replayed
-    in sequential iteration order — results (and, with [profile],
-    observed counters) are bitwise-identical to sequential execution
-    for any pool size.
+    in sequential iteration order — results are bitwise-identical to
+    sequential execution for any pool size.
 
     Every annotated loop is vetted by the static race verifier
     ({!Ft_analyze.Race}) at compile time: [Safe] loops run parallel with
     direct reduce updates (no element is shared between iterations);
     [Safe_with_atomics] loops run parallel through the deferred-
     reduction log, provided the body does not also load/store a deferred
-    target (otherwise they are demoted); [Racy] loops follow [on_race] —
-    [`Fallback] (default) compiles them sequentially and reports the
-    reason through {!race_logger}, [`Raise] raises {!Exec_error} at
-    compile time with the full report.
+    target (otherwise they are demoted); [Racy] loops compile
+    sequentially and report the reason through {!race_logger}.
 
     [guard] (default [false]) turns on the memory sanitizer, mirroring
     {!Interp.run_func}'s [guard]: bounds checks on every access,
@@ -112,11 +106,9 @@ type compiled = {
     interpreter).  First the static prover ({!Ft_analyze.Boundcheck})
     certifies access sites; proved sites keep the unguarded fast path —
     no runtime bounds check, compile-time strength reduction intact —
-    and are counted in [gs_elided].  Unproved sites follow
-    [on_unproved]: [`Check] (default) emits a runtime bounds check,
-    [`Elide] keeps the fast path anyway (degrade gracefully, trust the
-    program), [`Raise] refuses to compile, raising {!Exec_error} that
-    lists every unproved site.  A fault raises
+    and are counted in [gs_elided]; unproved sites get a runtime bounds
+    check.  Guarded compilation skips the lowering pipeline, so it runs
+    the tree the prover certified.  A fault raises
     {!Ft_ir.Diag.Diag_error} carrying the statement id, the enclosing
     iteration vector, the concrete index and the pretty-printed IR
     context — byte-identical to the interpreter's diagnostic for the
@@ -132,23 +124,13 @@ type compiled = {
     emitted closures are exactly the unsupervised ones — the default hot
     path is unchanged. *)
 val compile :
-  ?profile:Ft_profile.Profile.t ->
-  ?parallel:bool ->
-  ?on_race:[ `Fallback | `Raise ] ->
-  ?guard:bool ->
-  ?on_unproved:[ `Check | `Elide | `Raise ] ->
-  ?hooks:bool ->
-  Stmt.func ->
-  compiled
+  ?parallel:bool -> ?guard:bool -> ?hooks:bool -> Stmt.func -> compiled
 
 (** One-shot convenience mirroring {!Interp.run_func}. *)
 val run_func :
   ?sizes:(string * int) list ->
-  ?profile:Ft_profile.Profile.t ->
   ?parallel:bool ->
-  ?on_race:[ `Fallback | `Raise ] ->
   ?guard:bool ->
-  ?on_unproved:[ `Check | `Elide | `Raise ] ->
   ?hooks:bool ->
   Stmt.func ->
   (string * Tensor.t) list ->

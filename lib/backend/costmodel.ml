@@ -289,7 +289,7 @@ let charge_kernel ctx (m : Machine.metrics) ~live (s : Stmt.t) =
 
 (** Estimate the metrics of running [fn] once on [device], along with a
     per-kernel breakdown [(sid of the kernel root statement, metrics)] in
-    launch order — the same kernel segmentation the executors use when
+    launch order — the same kernel segmentation the interpreter uses when
     profiling, so the breakdown lines up with
     {!Ft_profile.Profile.kernels} one-to-one.
 

@@ -8,8 +8,9 @@
 
     With [?profile] the walker additionally counts every executed
     operation, tensor access, loop trip and host-level kernel into a
-    {!Ft_profile.Profile.t}; the closure executor emits the identical
-    counts, which the differential tests verify. *)
+    {!Ft_profile.Profile.t}.  It is the only profiler: to observe the
+    code the closure executor serves, profile the tree that executor
+    compiled ([Compile_exec.compiled.cd_fn]). *)
 
 open Ft_ir
 open Ft_runtime

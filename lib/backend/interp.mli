@@ -41,7 +41,8 @@ val race_to_string : race -> string
     [profile] turns on observed-counter collection: every executed
     operation, tensor access, loop trip and host-level kernel is counted
     into the given {!Ft_profile.Profile.t} (see its documentation for the
-    counting conventions, shared with {!Compile_exec}).
+    counting conventions).  To profile the code {!Compile_exec} serves,
+    pass the tree it compiled ([cd_fn]).
 
     [sanitize:true] turns on the dynamic race sanitizer; if any race is
     observed, {!Race_detected} is raised after the run completes (outputs

@@ -1,39 +1,19 @@
 (** Pipeline pass 3: strength-reduced tensor addressing, as a reusable
     analysis.
 
-    Historically the compiled backend folded affine index expressions
-    into [base + Σ coeff * iter] flat offsets inline in
-    [Compile_exec.compile_offset] — and only on the unprofiled,
-    unguarded path, because the generic path's per-node operation
-    counting could not be replicated.  This module extracts the rewrite
-    so every path shares it:
-
-    - {!plan} turns an index list against static strides into an affine
-      offset form (variable coefficients + constant), the input to the
-      backend's running-offset trackers;
-    - {!bump_classes} statically replicates the profiler's per-node
-      operation counts for the replaced index arithmetic.  This is exact
-      precisely on the affine domain: an expression {!Ft_ir.Linear}
-      accepts contains no [Load], [Select] or short-circuit operator, so
-      the interpreter evaluates {e every} node of it exactly once per
-      evaluation — making the static per-node classification fold equal
-      to the dynamic count.  (That is also why the generic path must
-      remain for non-affine indices: [Select]'s untaken branch is not
-      evaluated, so no static count is exact for it.)
-
-    The backend consumes a plan by wiring each named term to the
-    enclosing loop's iterator cell; see [Compile_exec.compile_offset]. *)
+    {!plan} turns an index list against static strides into an affine
+    offset form (variable coefficients + constant), the input to the
+    backend's running-offset trackers.  Both closure paths of the
+    compiled backend (plain and guarded) share it; the backend wires each
+    named term to the enclosing loop's iterator cell (see
+    [Compile_exec.compile_offset]). *)
 
 open Ft_ir
-module Profile = Ft_profile.Profile
 
 type plan = {
   pl_terms : (string * int) list;
       (** variable name -> flat-offset coefficient, nonzero entries *)
   pl_const : int;  (** constant part of the flat offset, elements *)
-  pl_bumps : Profile.opclass array;
-      (** op classes of every counted node of every index expression —
-          the profiler bumps these once per offset evaluation *)
 }
 
 (* Row-major element strides of a static shape. *)
@@ -44,19 +24,6 @@ let static_strides (dims : int array) : int array =
     s.(k) <- s.(k + 1) * dims.(k + 1)
   done;
   s
-
-let bump_classes (idx : Expr.t list) : Profile.opclass array =
-  let acc = ref [] in
-  List.iter
-    (fun e ->
-      Expr.iter
-        (fun n ->
-          match Profile.classify n with
-          | Profile.C_none -> ()
-          | c -> acc := c :: !acc)
-        e)
-    idx;
-  Array.of_list (List.rev !acc)
 
 (** [plan ~strides idx] is the affine flat-offset form of [idx], or
     [None] when any index is non-affine (contains loads, selects,
@@ -75,8 +42,5 @@ let plan ~(strides : int array) (idx : Expr.t list) : plan option =
       let terms =
         Linear.fold_terms (fun acc v a -> (v, a) :: acc) [] total
       in
-      Some
-        { pl_terms = terms;
-          pl_const = total.Linear.const;
-          pl_bumps = bump_classes idx }
+      Some { pl_terms = terms; pl_const = total.Linear.const }
     else None

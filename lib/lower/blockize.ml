@@ -5,8 +5,7 @@
     The wrapped body stays in the tree and defines the semantics (the
     reference interpreter always executes it); the compiled backend may
     swap in a hand-written flat kernel when nothing needs the scalar
-    nest's per-access effects (profiling, guards, deferred parallel
-    regions).
+    nest's per-access effects (guards, deferred parallel regions).
 
     Every kernel preserves the scalar nest's per-output-element
     accumulation order, and the runtime stores all floats as full IEEE

@@ -13,8 +13,8 @@
     The fourth leg of the pipeline, strength-reduced addressing
     ({!Address}), is an expression-level rewrite applied at
     offset-compilation time inside the backend (it needs the compile
-    environment's iterator cells), shared by the plain, profiled and
-    guarded paths alike.
+    environment's iterator cells), shared by the plain and guarded paths
+    alike.
 
     Every pass is semantics-preserving: the interpreter run of the
     lowered function must be bitwise equal to the interpreter run of the

@@ -1,6 +1,6 @@
-(** Execution profiler: observed per-statement and per-kernel counters.
-    See the interface for the counting conventions shared by both
-    executors. *)
+(** Execution profiler: observed per-statement and per-kernel counters,
+    filled by {!Ft_backend.Interp}.  See the interface for the counting
+    conventions. *)
 
 open Ft_ir
 module Machine = Ft_machine.Machine
@@ -76,58 +76,33 @@ let counters_to_string c =
     c.iops c.cmps c.dram_bytes c.atomics c.trips c.entries
 
 (* ------------------------------------------------------------------ *)
-(* Operator classification (syntactic, root node only) *)
+(* Operator counting (syntactic, root node only) *)
 
-type opclass =
-  | C_add
-  | C_mul
-  | C_div
-  | C_special
-  | C_other
-  | C_int
-  | C_cmp
-  | C_none
-
-let classify : Expr.t -> opclass = function
-  | Expr.Binop ((Expr.Add | Expr.Sub), _, _) -> C_add
-  | Expr.Binop (Expr.Mul, _, _) -> C_mul
-  | Expr.Binop (Expr.Div, _, _) -> C_div
-  | Expr.Binop (Expr.Pow, _, _) -> C_special
-  | Expr.Binop ((Expr.Min | Expr.Max), _, _) -> C_other
-  | Expr.Binop ((Expr.Floor_div | Expr.Mod), _, _) -> C_int
-  | Expr.Binop
-      ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _, _) ->
-    C_cmp
-  | Expr.Binop ((Expr.L_and | Expr.L_or), _, _) -> C_none
+(* One operation of the class of [e]'s root operator; loads, constants,
+   variables, casts and logicals count nothing. *)
+let bump_expr c (e : Expr.t) =
+  match e with
+  | Expr.Binop ((Expr.Add | Expr.Sub), _, _) -> c.fadd <- c.fadd + 1
+  | Expr.Binop (Expr.Mul, _, _) -> c.fmul <- c.fmul + 1
+  | Expr.Binop (Expr.Div, _, _) -> c.fdiv <- c.fdiv + 1
+  | Expr.Binop (Expr.Pow, _, _)
   | Expr.Unop ((Expr.Sqrt | Expr.Exp | Expr.Ln | Expr.Sigmoid | Expr.Tanh), _)
     ->
-    C_special
+    c.fspecial <- c.fspecial + 1
+  | Expr.Binop ((Expr.Min | Expr.Max), _, _)
   | Expr.Unop
       ((Expr.Neg | Expr.Abs | Expr.Square | Expr.Floor_op | Expr.Ceil_op), _)
-    ->
-    C_other
-  | Expr.Unop (Expr.Not, _) -> C_none
-  | Expr.Select _ -> C_other
+  | Expr.Select _ ->
+    c.fother <- c.fother + 1
+  | Expr.Binop ((Expr.Floor_div | Expr.Mod), _, _) -> c.iops <- c.iops + 1
+  | Expr.Binop
+      ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge), _, _) ->
+    c.cmps <- c.cmps + 1
+  | Expr.Binop ((Expr.L_and | Expr.L_or), _, _)
+  | Expr.Unop (Expr.Not, _)
   | Expr.Int_const _ | Expr.Float_const _ | Expr.Bool_const _ | Expr.Var _
   | Expr.Load _ | Expr.Cast _ | Expr.Meta_ndim _ | Expr.Meta_shape _ ->
-    C_none
-
-let bump_class c = function
-  | C_add -> c.fadd <- c.fadd + 1
-  | C_mul -> c.fmul <- c.fmul + 1
-  | C_div -> c.fdiv <- c.fdiv + 1
-  | C_special -> c.fspecial <- c.fspecial + 1
-  | C_other -> c.fother <- c.fother + 1
-  | C_int -> c.iops <- c.iops + 1
-  | C_cmp -> c.cmps <- c.cmps + 1
-  | C_none -> ()
-
-let bump_expr c e = bump_class c (classify e)
-
-let expr_bump e =
-  match classify e with
-  | C_none -> None
-  | k -> Some (fun c -> bump_class c k)
+    ()
 
 let bump_reduce ?(atomic = false) c op =
   if atomic then c.atomics <- c.atomics + 1;
@@ -250,158 +225,6 @@ let exit_kernel p =
     k.k_t1 <- Unix.gettimeofday ();
     p.rev_kernels <- k :: p.rev_kernels;
     p.n_kernels <- p.n_kernels + 1
-
-(* ------------------------------------------------------------------ *)
-(* Worker shards: private counter sinks for parallel regions *)
-
-type shard = {
-  sh_ctrs : (int, counters) Hashtbl.t;
-  sh_fp : (string, int) Hashtbl.t;
-  mutable sh_live : int;
-  mutable sh_peak : int;
-}
-
-let make_shard () =
-  { sh_ctrs = Hashtbl.create 32; sh_fp = Hashtbl.create 8;
-    sh_live = 0; sh_peak = 0 }
-
-let shard_ctr sh sid =
-  match Hashtbl.find_opt sh.sh_ctrs sid with
-  | Some c -> c
-  | None ->
-    let c = zero_counters () in
-    Hashtbl.replace sh.sh_ctrs sid c;
-    c
-
-let shard_read sh c ~dram ~name ~elem ~total =
-  c.loads <- c.loads + 1;
-  c.load_bytes <- c.load_bytes + elem;
-  if dram then begin
-    c.dram_bytes <- c.dram_bytes + elem;
-    Hashtbl.replace sh.sh_fp name total
-  end
-
-let shard_write sh c ~dram ~name ~elem ~total =
-  c.stores <- c.stores + 1;
-  c.store_bytes <- c.store_bytes + elem;
-  if dram then begin
-    c.dram_bytes <- c.dram_bytes + elem;
-    Hashtbl.replace sh.sh_fp name total
-  end
-
-let shard_alloc sh bytes =
-  sh.sh_live <- sh.sh_live + bytes;
-  if sh.sh_live > sh.sh_peak then sh.sh_peak <- sh.sh_live
-
-let shard_release sh bytes = sh.sh_live <- sh.sh_live - bytes
-
-let reset_counters c =
-  c.loads <- 0;
-  c.stores <- 0;
-  c.load_bytes <- 0;
-  c.store_bytes <- 0;
-  c.dram_bytes <- 0;
-  c.fadd <- 0;
-  c.fmul <- 0;
-  c.fdiv <- 0;
-  c.fspecial <- 0;
-  c.fother <- 0;
-  c.iops <- 0;
-  c.cmps <- 0;
-  c.entries <- 0;
-  c.trips <- 0;
-  c.atomics <- 0
-
-let merge_shard p sh =
-  (* Drain in place: compiled closures hold the counter records captured
-     at compile time, so the records must stay reachable through
-     [sh_ctrs] — dropping the table (rather than zeroing the cells)
-     would silently discard every later run's counts when the same
-     compiled parallel loop executes again (e.g. a parallel loop nested
-     under a demoted or sequential outer loop). *)
-  Hashtbl.iter
-    (fun sid c ->
-      add_counters ~into:(ctr p sid) c;
-      reset_counters c)
-    sh.sh_ctrs;
-  (match p.cur with
-   | Some (k, _) ->
-     Hashtbl.iter (fun n b -> Hashtbl.replace k.k_footprint n b) sh.sh_fp
-   | None -> ());
-  (* Region-local allocations are balanced per iteration, so the
-     sequential peak over the region is the live level at entry plus the
-     deepest single-worker excursion — not the sum across workers. *)
-  if p.live_bytes + sh.sh_peak > p.peak_live then
-    p.peak_live <- p.live_bytes + sh.sh_peak;
-  p.live_bytes <- p.live_bytes + sh.sh_live;
-  Hashtbl.reset sh.sh_fp;
-  sh.sh_live <- 0;
-  sh.sh_peak <- 0
-
-(* ------------------------------------------------------------------ *)
-(* Cross-validation *)
-
-let sorted_footprint k =
-  Hashtbl.fold (fun n b acc -> (n, b) :: acc) k.k_footprint []
-  |> List.sort compare
-
-let equal_observed a b =
-  let sids tbl = Hashtbl.fold (fun sid _ acc -> sid :: acc) tbl [] in
-  let all_sids =
-    List.sort_uniq compare (sids a.sid_ctrs @ sids b.sid_ctrs)
-  in
-  List.for_all
-    (fun sid -> counters_equal (stmt_counters a sid) (stmt_counters b sid))
-    all_sids
-  && a.peak_live = b.peak_live
-  && List.length a.rev_kernels = List.length b.rev_kernels
-  && List.for_all2
-       (fun ka kb ->
-         ka.k_sid = kb.k_sid && ka.k_label = kb.k_label
-         && counters_equal ka.k_ctr kb.k_ctr
-         && ka.k_parallel = kb.k_parallel
-         && ka.k_vectorized = kb.k_vectorized
-         && ka.k_is_lib = kb.k_is_lib
-         && sorted_footprint ka = sorted_footprint kb)
-       (kernels a) (kernels b)
-
-let diff_string a b =
-  let buf = Buffer.create 256 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let sids tbl = Hashtbl.fold (fun sid _ acc -> sid :: acc) tbl [] in
-  let all_sids =
-    List.sort_uniq compare (sids a.sid_ctrs @ sids b.sid_ctrs)
-  in
-  List.iter
-    (fun sid ->
-      let ca = stmt_counters a sid and cb = stmt_counters b sid in
-      if not (counters_equal ca cb) then
-        pr "sid %d:\n  a: %s\n  b: %s\n" sid (counters_to_string ca)
-          (counters_to_string cb))
-    all_sids;
-  if a.peak_live <> b.peak_live then
-    pr "peak live: a=%dB b=%dB\n" a.peak_live b.peak_live;
-  let ka = kernels a and kb = kernels b in
-  if List.length ka <> List.length kb then
-    pr "kernel count: a=%d b=%d\n" (List.length ka) (List.length kb)
-  else
-    List.iter2
-      (fun x y ->
-        if
-          x.k_sid <> y.k_sid
-          || (not (counters_equal x.k_ctr y.k_ctr))
-          || x.k_parallel <> y.k_parallel
-          || x.k_vectorized <> y.k_vectorized
-          || x.k_is_lib <> y.k_is_lib
-          || sorted_footprint x <> sorted_footprint y
-        then
-          pr "kernel #%d: a=[sid %d par=%d %s] b=[sid %d par=%d %s]\n"
-            x.k_index x.k_sid x.k_parallel
-            (counters_to_string x.k_ctr)
-            y.k_sid y.k_parallel
-            (counters_to_string y.k_ctr))
-      ka kb;
-  if Buffer.length buf = 0 then "(no difference)" else Buffer.contents buf
 
 let replay_cost (sp : Machine.spec) p : Machine.metrics =
   let m = Machine.fresh_metrics () in

@@ -1,19 +1,22 @@
 (** Execution profiler: observed per-statement and per-kernel counters.
 
-    Both executors ({!Ft_backend.Interp} and {!Ft_backend.Compile_exec})
-    accept an optional [?profile] argument.  When given, every executed
-    expression node bumps an operation counter classified by its root
-    operator, every tensor access records loads/stores and byte traffic,
-    every loop records entries and trip counts, and the host-level walk
-    segments the execution into kernels — the same segmentation the
-    analytic cost model ({!Ft_backend.Costmodel}) uses, so predicted and
-    observed quantities are directly comparable.  {!replay_cost} prices
+    The reference interpreter ({!Ft_backend.Interp}) is the one
+    profiler: it accepts an optional [?profile] argument.  To observe
+    the code the compiled executor serves, run it on the tree that
+    executor compiled ([(Compile_exec.compile fn).cd_fn]: lowered, with
+    [Microkernel] nests whose bodies are their semantics).  When given a
+    profile, every executed expression node bumps an operation counter
+    classified by its root operator, every tensor access records
+    loads/stores and byte traffic, every loop records entries and trip
+    counts, and the host-level walk segments the execution into kernels
+    — the same segmentation the analytic cost model
+    ({!Ft_backend.Costmodel}) uses, so predicted and observed quantities
+    are directly comparable.  {!replay_cost} prices
     the observed counters through {!Ft_machine.Machine.kernel_cost},
     making predicted-vs-observed divergence a first-class, testable
     quantity.
 
-    Caveats, shared by design between both executors so their observed
-    counters are identical:
+    Counting conventions:
     - [Eval] statements are not counted (the compiled executor elides
       pure expression statements entirely);
     - operator classification is purely syntactic — an [Add] over
@@ -62,30 +65,8 @@ val counters_equal : counters -> counters -> bool
 val is_zero : counters -> bool
 val counters_to_string : counters -> string
 
-(** {1 Operator classification} *)
-
-type opclass =
-  | C_add
-  | C_mul
-  | C_div
-  | C_special
-  | C_other
-  | C_int
-  | C_cmp
-  | C_none
-
-(** Classify an expression by its root operator (syntactic; loads,
-    constants, variables, casts and logicals are [C_none]). *)
-val classify : Expr.t -> opclass
-
-val bump_class : counters -> opclass -> unit
-
 (** Direct counting for the interpreter's hot loop (no allocation). *)
 val bump_expr : counters -> Expr.t -> unit
-
-(** Compile-time variant for the closure executor: [None] when the node
-    needs no counting, so unprofiled thunks pay nothing. *)
-val expr_bump : Expr.t -> (counters -> unit) option
 
 (** +1 op for the read-modify-write combine of a [Reduce_to];
     [~atomic:true] additionally counts one atomic RMW. *)
@@ -156,53 +137,6 @@ val release : t -> int -> unit
 val enter_kernel : t -> Stmt.t -> unit
 
 val exit_kernel : t -> unit
-
-(** {1 Worker shards}
-
-    A shard is a private counter sink for one worker of a parallel
-    region: the worker bumps shard-local per-statement counters,
-    footprint entries and alloc/release excursions with no shared
-    mutable state, and the master folds every shard back into the
-    profile with {!merge_shard} after joining the region — so profiling
-    under parallel execution observes exactly what sequential execution
-    would.  Peak-live merging assumes region-local allocations are
-    balanced within each iteration (true for [Var_def] scoping), making
-    the sequential peak the entry live level plus the deepest
-    single-worker excursion. *)
-
-type shard
-
-val make_shard : unit -> shard
-
-(** Shard-local per-statement counter cell, created on first use. *)
-val shard_ctr : shard -> int -> counters
-
-val shard_read :
-  shard -> counters -> dram:bool -> name:string -> elem:int -> total:int ->
-  unit
-
-val shard_write :
-  shard -> counters -> dram:bool -> name:string -> elem:int -> total:int ->
-  unit
-
-val shard_alloc : shard -> int -> unit
-val shard_release : shard -> int -> unit
-
-(** Fold a shard into the profile (counters add; footprint entries join
-    the current kernel; peak live folds as described above) and reset it
-    for reuse.  Must be called from the master domain, after the region
-    has joined. *)
-val merge_shard : t -> shard -> unit
-
-(** {1 Cross-validation} *)
-
-(** Structural equality of everything observed (per-statement counters,
-    kernel sequence, footprints, peak memory) ignoring wall-clock times.
-    This is what the differential tests compare across executors. *)
-val equal_observed : t -> t -> bool
-
-(** Human-readable description of where two profiles disagree. *)
-val diff_string : t -> t -> string
 
 (** Price the observed counters through the machine model: per kernel,
     observed FLOPs / DRAM bytes / footprint / parallelism go through

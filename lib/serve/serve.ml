@@ -968,18 +968,18 @@ let soak ?(on_response = fun _ _ -> ()) t ~(cfg : soak_config)
           (function `Run (j, key, _, _) -> Some (j, key) | `Shed _ -> None)
           decisions
       in
-      let by_id = Hashtbl.create 16 in
+      let by_j = Hashtbl.create 16 in
       let batch_elapsed = ref 0.0 in
       if to_run <> [] then begin
         let order = ref [] in
         let groups = Hashtbl.create 8 in
         List.iter
           (fun (j, key) ->
-            let rq = make_request j in
+            let jr = (j, make_request j) in
             match Hashtbl.find_opt groups key with
-            | Some l -> l := rq :: !l
+            | Some l -> l := jr :: !l
             | None ->
-              Hashtbl.add groups key (ref [ rq ]);
+              Hashtbl.add groups key (ref [ jr ]);
               order := key :: !order)
           to_run;
         let grouped =
@@ -987,13 +987,15 @@ let soak ?(on_response = fun _ _ -> ()) t ~(cfg : soak_config)
         in
         let t0 = Unix.gettimeofday () in
         let executed =
-          in_group_scope t (fun parent -> run_groups t parent grouped)
+          in_group_scope t (fun parent ->
+              run_groups t parent (List.map (List.map snd) grouped))
         in
         batch_elapsed := Unix.gettimeofday () -. t0;
-        List.iter
-          (List.iter (fun ((r : response), wall) ->
-               Hashtbl.replace by_id r.rs_id (r, wall)))
-          executed
+        (* keyed by stream index: request ids are the caller's and need
+           not equal [j] (a restarted server numbers from the crash) *)
+        List.iter2
+          (List.iter2 (fun (j, _) rw -> Hashtbl.replace by_j j rw))
+          grouped executed
       end;
       (* Pass 3 — accounting and callbacks, on the master, in the
          canonical EDF dispatch order (so [on_response] ordering and
@@ -1009,7 +1011,7 @@ let soak ?(on_response = fun _ _ -> ()) t ~(cfg : soak_config)
         (function
           | `Shed (j, r) -> on_response j r
           | `Run (j, key, dl, done_at) ->
-            let r, wall = Hashtbl.find by_id j in
+            let r, wall = Hashtbl.find by_j j in
             incr served_in_batch;
             note_service t key wall;
             let completion = if cfg.so_virtual then done_at else now_after in

@@ -78,8 +78,8 @@ let render_table ~title ~frameworks
 
 (* Fresh argument tensors for one execution.  Input generation is
    deterministic (fixed seeds), so two executions see identical data and
-   data-dependent control flow — required for the executor parity
-   check — while output tensors start from zeros each time. *)
+   data-dependent control flow, while output tensors start from zeros
+   each time. *)
 let workload_args (scale : Experiments.scale) (w : Experiments.workload) () :
     (string * Tensor.t) list =
   match w with
@@ -112,22 +112,20 @@ let workload_args (scale : Experiments.scale) (w : Experiments.workload) () :
 
 let profile_workload ~(device : Types.device) (scale : Experiments.scale)
     (w : Experiments.workload) : string =
-  let fn = Auto.run ~device (Experiments.ft_forward_func scale w) in
-  let args = workload_args scale w in
+  (* profile the tree the compiled executor serves: after the same
+     lowering decision ([FT_LOWER]), so microkernel nests show up *)
+  let fn =
+    (Compile_exec.compile
+       (Auto.run ~device (Experiments.ft_forward_func scale w)))
+      .Compile_exec.cd_fn
+  in
   let pi = Profile.create () in
-  Interp.run_func ~profile:pi fn (args ());
-  let pc = Profile.create () in
-  Compile_exec.run_func ~profile:pc fn (args ());
+  Interp.run_func ~profile:pi fn (workload_args scale w ());
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "==== profile: %s on %s ====\n"
     (Experiments.workload_name w)
     (Types.device_to_string device);
-  if Profile.equal_observed pi pc then
-    pr "executor cross-check: interpreter == compiled executor (all observed \
-        counters identical)\n"
-  else
-    pr "executor cross-check: MISMATCH\n%s\n" (Profile.diff_string pi pc);
   pr "\n%s" (Profile.report fn pi);
   let unknown_extent =
     match w with

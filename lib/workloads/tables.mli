@@ -32,10 +32,11 @@ val workload_args :
   unit ->
   (string * Tensor.t) list
 
-(** Auto-schedule the workload for [device], execute it under both the
-    reference interpreter and the compiled executor with observed-counter
-    profiling, cross-check the two profiles, and render: the parity
-    verdict, the hierarchical per-loop report, and the predicted
-    (cost-model) versus observed (profiler-replay) table. *)
+(** Auto-schedule the workload for [device], take the tree the compiled
+    executor serves ([(Compile_exec.compile fn).cd_fn]: lowered, with
+    microkernel nests, unless [FT_LOWER=0]), run it under the reference
+    interpreter with observed-counter profiling, and render the
+    hierarchical per-loop report and the predicted (cost-model) versus
+    observed (profiler-replay) table. *)
 val profile_workload :
   device:Types.device -> Experiments.scale -> Experiments.workload -> string

@@ -354,32 +354,6 @@ let indirect_args ?(bad = false) () =
     ("idx", idx);
     ("y", Tensor.zeros Types.F32 [| 12 |]) ]
 
-let test_on_unproved_raise () =
-  Alcotest.(check bool) "indirect load is unproved" false
-    (Boundcheck.all_proved (Boundcheck.check_func indirect_fn));
-  match Cexec.compile ~guard:true ~on_unproved:`Raise indirect_fn with
-  | (_ : Cexec.compiled) -> Alcotest.fail "expected Exec_error"
-  | exception Cexec.Exec_error msg ->
-    Alcotest.(check bool) "message lists the unproved site" true
-      (let has sub s =
-         let n = String.length sub and m = String.length s in
-         let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-         go 0
-       in
-       has "unproved" msg && has "idx" msg)
-
-let test_on_unproved_elide () =
-  let cd = Cexec.compile ~guard:true ~on_unproved:`Elide indirect_fn in
-  let st = Option.get cd.Cexec.cd_guard in
-  Alcotest.(check int) "no runtime checks compiled" 0 st.Cexec.gs_checked;
-  let args = indirect_args () in
-  cd.Cexec.cd_run args [];
-  Alcotest.(check int) "no runtime checks executed" 0 st.Cexec.gs_checks;
-  let ref_args = indirect_args () in
-  Interp.run_func indirect_fn ref_args;
-  Alcotest.(check bool) "elided run still correct" true
-    (bits_equal (List.assoc "y" args) (List.assoc "y" ref_args))
-
 let test_check_catches_bad_data () =
   let di =
     catch_diag (fun () ->
@@ -489,23 +463,6 @@ let test_costmodel_validates_kernels () =
     Alcotest.(check bool) "gpu-resources code" true
       (d.Diag.dg_code = Diag.Gpu_resources)
 
-(* ------------------------------------------------------------------ *)
-(* Guard composes with profiling                                      *)
-
-let test_guard_with_profile () =
-  let module Profile = Ft_profile.Profile in
-  let pg = Profile.create () in
-  let pu = Profile.create () in
-  let args_g = mm_args () in
-  Cexec.run_func ~profile:pg ~guard:true matmul_fn args_g;
-  let args_u = mm_args () in
-  Cexec.run_func ~profile:pu matmul_fn args_u;
-  Alcotest.(check bool) "profiled guarded result correct" true
-    (bits_equal (List.assoc "C" args_g) (List.assoc "C" args_u));
-  Alcotest.(check string) "observed counters unchanged by the guard"
-    (Profile.report matmul_fn pu)
-    (Profile.report matmul_fn pg)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_oob_mutants; prop_uninit_mutants; prop_unmutated_guard_clean ]
@@ -515,10 +472,6 @@ let suite =
       Alcotest.test_case "NaN-poison regression" `Quick test_nan_regression;
       Alcotest.test_case "-inf masking is allowed" `Quick
         test_inf_mask_allowed;
-      Alcotest.test_case "on_unproved:`Raise refuses to compile" `Quick
-        test_on_unproved_raise;
-      Alcotest.test_case "on_unproved:`Elide degrades gracefully" `Quick
-        test_on_unproved_elide;
       Alcotest.test_case "runtime check catches bad data" `Quick
         test_check_catches_bad_data;
       Alcotest.test_case "entry diagnostics are byte-identical" `Quick
@@ -526,6 +479,4 @@ let suite =
       Alcotest.test_case "GPU per-block resource limits" `Quick
         test_gpu_resource_limits;
       Alcotest.test_case "cost model validates kernel resources" `Quick
-        test_costmodel_validates_kernels;
-      Alcotest.test_case "guard composes with profiling" `Quick
-        test_guard_with_profile ]
+        test_costmodel_validates_kernels ]

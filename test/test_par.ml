@@ -1,15 +1,13 @@
 (* Differential tests for the domain-pool parallel compiled executor:
    parallel execution must be *bitwise* identical to sequential compiled
-   execution and to the reference interpreter — values and (when
-   profiling) observed counters — for every pool size, every run, and
-   every randomly generated parallel-legal program. *)
+   execution and to the reference interpreter for every pool size,
+   every run, and every randomly generated parallel-legal program. *)
 
 open Ft_ir
 open Ft_runtime
 module Interp = Ft_backend.Interp
 module Cexec = Ft_backend.Compile_exec
 module Exec_par = Ft_backend.Exec_par
-module Profile = Ft_profile.Profile
 
 let n = Gen_prog.iterations
 
@@ -76,23 +74,6 @@ let prop_par_determinism =
               in
               outs_bits_equal seq (once ()) && outs_bits_equal seq (once ())))
         [ 1; 2; 8 ])
-
-let prop_par_profile =
-  QCheck2.Test.make ~count:(n 40)
-    ~name:"random parallel programs: profiled counters match the interpreter"
-    Gen_prog.gen_par_func
-    (fun fn ->
-      let pi = Profile.create () in
-      ignore (run_with (fun f a -> Interp.run_func ~profile:pi f a) fn);
-      let pp = Profile.create () in
-      let par =
-        with_domains 8 (fun () ->
-            run_with
-              (fun f a -> Cexec.run_func ~profile:pp ~parallel:true f a)
-              fn)
-      in
-      let interp = run_with (fun f a -> Interp.run_func f a) fn in
-      outs_bits_equal interp par && Profile.equal_observed pi pp)
 
 (* {1 Hand-built cases} *)
 
@@ -263,7 +244,7 @@ let test_pool_exceptions () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_par_vs_seq_vs_interp; prop_par_determinism; prop_par_profile ]
+    [ prop_par_vs_seq_vs_interp; prop_par_determinism ]
   @ [ Alcotest.test_case "reduction determinism" `Quick
         test_reduction_determinism;
       Alcotest.test_case "illegal body falls back" `Quick

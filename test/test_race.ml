@@ -149,14 +149,6 @@ let test_fallback_is_sequential () =
              has "race fallback" && has "Racy")
            !msgs))
 
-let test_on_race_raise () =
-  let fn = racy_store_func 16 in
-  match Cexec.compile ~parallel:true ~on_race:`Raise fn with
-  | _ -> Alcotest.fail "expected Exec_error at compile time"
-  | exception Cexec.Exec_error msg ->
-    Alcotest.(check bool) "message carries the report" true
-      (String.length msg > 0)
-
 (* {1 Verdict taxonomy} *)
 
 let test_scatter_is_safe_with_atomics () =
@@ -297,8 +289,6 @@ let suite =
         test_sanitizer_flags_racy_store;
       Alcotest.test_case "racy loop falls back to sequential" `Quick
         test_fallback_is_sequential;
-      Alcotest.test_case "on_race:`Raise raises at compile time" `Quick
-        test_on_race_raise;
       Alcotest.test_case "scatter reduce is Safe_with_atomics" `Quick
         test_scatter_is_safe_with_atomics;
       Alcotest.test_case "private stores are Safe" `Quick

@@ -121,23 +121,6 @@ let prop_costmodel_total =
 
 
 
-let prop_profile_differential =
-  (* satellite of the profiler work: the observed per-statement and
-     per-kernel counters must be bit-identical across the two executors,
-     not just the numeric outputs *)
-  QCheck2.Test.make ~count:(n 100)
-    ~name:"random programs: observed counters identical across executors"
-    Gen_prog.gen_func
-    (fun fn ->
-      let pi = Profile.create () in
-      ignore (run_with (fun f a -> Interp.run_func ~profile:pi f a) fn);
-      let pc = Profile.create () in
-      ignore (run_with (fun f a -> Cexec.run_func ~profile:pc f a) fn);
-      if Profile.equal_observed pi pc then true
-      else
-        QCheck2.Test.fail_reportf "observed profiles differ:\n%s"
-          (Profile.diff_string pi pc))
-
 let prop_costmodel_exact_static =
   (* on guard-free programs (static control flow) the analytic model's
      operation count and kernel segmentation are exact, matching the
@@ -226,5 +209,5 @@ let suite =
     [ prop_interp_vs_compiled; prop_passes_preserve;
       prop_auto_schedule_preserves; prop_random_schedules_preserve;
       prop_codegen_never_crashes; prop_costmodel_total;
-      prop_profile_differential; prop_costmodel_exact_static;
+      prop_costmodel_exact_static;
       prop_costmodel_flops_bounded; prop_jvp_executes_consistently ]

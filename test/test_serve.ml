@@ -374,6 +374,27 @@ let test_soak_deterministic_arrivals () =
   Alcotest.(check int) "deterministic compiles" r1.Serve.sk_compiles
     r2.Serve.sk_compiles
 
+(* A restarted server's soak numbers requests from the crash point, so
+   request ids need not equal the stream index: responses must still be
+   matched to their stream slot. *)
+let test_soak_offset_ids () =
+  let fn = sized_fn () in
+  let srv = Serve.create ~policy:Supervisor.default_policy () in
+  let args = sized_args 8 in
+  let first = 1000 in
+  let make_request j =
+    Serve.request ~sizes:[ ("n", 8) ] ~id:(first + j) fn args
+  in
+  let ids = ref [] in
+  let on_response j r = ids := (j, r.Serve.rs_id) :: !ids in
+  let cfg = Serve.soak_cfg ~seed:42 ~requests:30 ~rate:1000.0 ~batch:4 () in
+  let r = Serve.soak ~on_response srv ~cfg ~make_request in
+  Alcotest.(check int) "all served" 30 r.Serve.sk_served_clean;
+  Alcotest.(check int) "every request answered" 30 (List.length !ids);
+  List.iter
+    (fun (j, id) -> Alcotest.(check int) "response of slot j" (first + j) id)
+    !ids
+
 (* ------------------------------------------------------------------ *)
 (* LRU edge cases                                                     *)
 
@@ -960,6 +981,8 @@ let suite =
         test_guard_delta_per_request;
       Alcotest.test_case "soak is deterministic in its seed" `Quick
         test_soak_deterministic_arrivals;
+      Alcotest.test_case "soak matches responses to offset request ids"
+        `Quick test_soak_offset_ids;
       Alcotest.test_case "LRU edge cases: capacity 1, touch/invalidate"
         `Quick test_lru_edge_cases;
       Alcotest.test_case "breaker trips, fallback-serves, and recovers"
